@@ -19,16 +19,18 @@
 //!   --no-merge          skip the fig. 6 pipeline-merge pass
 //!   --modulo [incl]     emit a modulo schedule instead (optionally with
 //!                       reconfigurations modelled)
-//!   --jobs N            worker threads for the modulo II sweep (default: 1;
-//!                       N > 1 probes candidate IIs speculatively in parallel
-//!                       and yields the same schedule as N = 1)
-//!   --backend B         decision procedure for the modulo sweep:
-//!                       cp (default), sat (the self-contained CDCL solver
-//!                       over the order-encoded CNF model), or race (both
-//!                       in parallel; first feasible answer wins and the
-//!                       loser is cancelled). All backends agree on the
-//!                       winning II; sat/race require the exclude-reconfig
-//!                       model (no `--modulo incl`)
+//!   --jobs N            worker threads for the modulo II sweep, any
+//!                       backend (default: 1; N > 1 probes up to N candidate
+//!                       IIs speculatively in parallel and yields the same
+//!                       schedule as N = 1)
+//!   --backend B         decision procedure for each candidate II of the
+//!                       modulo sweep: cp (default), sat (the self-contained
+//!                       CDCL solver over the order-encoded CNF model), or
+//!                       race (both on every candidate; the first decisive
+//!                       answer, schedule or refutation, wins and the other
+//!                       is cancelled). All backends agree on the winning
+//!                       II; sat/race require the exclude-reconfig model
+//!                       (no `--modulo incl`)
 //!   --overlap M         overlapped execution of M iterations
 //!   --timeout SECS      solver budget (default: 120)
 //!   --emit xml          dump the (merged) IR as XML instead of compiling
@@ -792,7 +794,7 @@ fn main() {
     if let Some(path) = &args.metrics {
         let mut m = RunMetrics::new("eitc", &args.kernel);
         m.arch(&spec)
-            .solver(out.status, Some(out.schedule.makespan), &out.solver, None)
+            .solver(out.status, Some(out.schedule.makespan), &out.solver)
             .domains(out.domain_reps)
             .spans(&out.timings)
             .propagators(&out.propagator_profile)

@@ -35,26 +35,26 @@ use eit_cp::{
     VarSel,
 };
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which decision procedure answers each candidate II of the sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The CP solver (the paper's engine; supports both reconfiguration
-    /// models, record/replay, and the parallel speculative sweep).
+    /// models and record/replay).
     #[default]
     Cp,
     /// The CDCL SAT backend (`eit-sat`): order-encoded CNF per candidate
     /// II, exclude-reconfig model only. Every satisfying assignment is
     /// re-checked by both independent verifiers before it is accepted.
     Sat,
-    /// Race CP against SAT under child cancellation tokens; the first
-    /// backend to find a (verified) schedule wins and cancels the other.
-    /// Both sweep the same bottom-up candidate order, so the winning II
-    /// is backend-independent — only the attribution varies.
+    /// Race CP against SAT on every candidate II, under sibling child
+    /// cancellation tokens: the first decisive answer (a verified
+    /// schedule or a refutation) decides the candidate and cancels the
+    /// other arm. Both backends are exact, so the winning II is
+    /// backend-independent — only the attribution varies.
     Race,
 }
 
@@ -110,8 +110,8 @@ impl std::fmt::Display for ModuloError {
 
 impl std::error::Error for ModuloError {}
 
-/// Aggregated SAT-solver counters of one sweep (summed over every
-/// candidate II the SAT backend touched), for `eit-run-metrics/1`.
+/// Aggregated SAT-solver counters of one sweep (summed over the SAT
+/// probes at or below the winning II), for `eit-run-metrics/1`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SatStats {
     pub vars: u64,
@@ -120,6 +120,21 @@ pub struct SatStats {
     pub conflicts: u64,
     pub propagations: u64,
     pub restarts: u64,
+}
+
+impl std::ops::Add for SatStats {
+    type Output = SatStats;
+
+    fn add(self, o: SatStats) -> SatStats {
+        SatStats {
+            vars: self.vars + o.vars,
+            clauses: self.clauses + o.clauses,
+            decisions: self.decisions + o.decisions,
+            conflicts: self.conflicts + o.conflicts,
+            propagations: self.propagations + o.propagations,
+            restarts: self.restarts + o.restarts,
+        }
+    }
 }
 
 /// Options for [`modulo_schedule`].
@@ -133,11 +148,13 @@ pub struct ModuloOptions {
     pub total_timeout: Duration,
     /// Upper bound on the II sweep; `None` = serial bound.
     pub max_ii: Option<i32>,
-    /// Worker threads for the speculative II sweep. `1` (the default)
-    /// probes candidates strictly bottom-up, as the paper does; `N > 1`
-    /// probes N candidates concurrently and cancels every probe above the
-    /// lowest feasible II found. The *answer* is identical either way —
-    /// see the determinism contract in DESIGN.md.
+    /// Worker threads for the speculative II sweep, under every backend.
+    /// `1` (the default) probes candidates strictly bottom-up on the
+    /// calling thread, as the paper does; `N > 1` probes up to N
+    /// candidates concurrently (never more workers than candidates) and
+    /// cancels every probe above the lowest feasible II found. The
+    /// *answer* is identical either way — see the determinism contract in
+    /// DESIGN.md.
     pub jobs: usize,
     /// Structured search-event sink. Each probe buffers its events
     /// privately; after the sweep the streams of every candidate up to
@@ -192,9 +209,10 @@ impl Default for ModuloOptions {
 #[derive(Clone, Debug)]
 pub struct ProbeStat {
     pub ii: i32,
-    /// `"feasible"`, `"infeasible"`, `"timeout"`, or `"cancelled"` (a
-    /// speculative probe above the winning II that was stopped or never
-    /// started; only occurs with `jobs > 1`).
+    /// `"feasible"`, `"infeasible"`, `"timeout"`, `"cancelled"` or
+    /// `"malformed"`. The last two occur only above the winning II, for
+    /// speculative probes that a lower winner stopped or that failed
+    /// structurally (`jobs > 1` only).
     pub outcome: &'static str,
     pub nodes: u64,
     pub fails: u64,
@@ -233,7 +251,7 @@ pub struct ModuloResult {
     /// `Backend::Race` this is the winner's attribution).
     pub backend: &'static str,
     /// SAT-solver counters, when the SAT backend ran (its sweep, or its
-    /// side of a race — present even if CP won the race).
+    /// arm of each raced probe — present even if CP won the race).
     pub sat: Option<SatStats>,
 }
 
@@ -350,15 +368,19 @@ pub enum IiOutcome {
     Infeasible,
     Timeout,
     /// The probe's cancellation token was raised before it could decide
-    /// the candidate (speculative sweeps only; never a refutation proof).
+    /// the candidate (a speculative probe above a lower winner, a race's
+    /// losing arm, or a sweep-level deadline; never a refutation proof).
     Cancelled,
-    /// The model could not be built for this candidate (malformed graph
-    /// — e.g. a vector op without a configuration). II-independent: the
-    /// sweep aborts with the structured error instead of probing on.
+    /// The probe failed structurally: the model could not be built
+    /// (malformed graph — e.g. a vector op without a configuration,
+    /// which is II-independent) or a backend's schedule was rejected by a
+    /// verifier. The sweep aborts with the structured error instead of
+    /// probing on.
     Malformed(ModuloError),
 }
 
-/// Attempt one candidate II (public so harnesses can probe specific IIs).
+/// Attempt one candidate II with the CP probe (public so harnesses can
+/// probe specific IIs).
 pub fn schedule_at_ii(
     g: &Graph,
     spec: &ArchSpec,
@@ -366,19 +388,11 @@ pub fn schedule_at_ii(
     include_reconfig: bool,
     budget: Duration,
 ) -> IiOutcome {
-    probe_ii(
-        g,
-        spec,
-        ii,
+    let opts = ModuloOptions {
         include_reconfig,
-        budget,
-        None,
-        None,
-        None,
-        None,
-        true,
-    )
-    .0
+        ..Default::default()
+    };
+    probe_cp(g, spec, &opts, ii, budget, &CancelToken::new(), None).outcome
 }
 
 /// The per-candidate-II CSP with its variable handles, ready to solve.
@@ -622,147 +636,8 @@ pub fn build_probe_with(
     }))
 }
 
-/// As [`schedule_at_ii`], with a cooperative cancellation token, an
-/// optional per-probe trace sink, and the probe's search statistics (for
-/// sweep accounting).
-#[allow(clippy::too_many_arguments)]
-pub fn probe_ii(
-    g: &Graph,
-    spec: &ArchSpec,
-    ii: i32,
-    include_reconfig: bool,
-    budget: Duration,
-    cancel: Option<CancelToken>,
-    trace: Option<TraceHandle>,
-    state_hash_every: Option<u64>,
-    restarts: Option<eit_cp::RestartConfig>,
-    bitset: bool,
-) -> (IiOutcome, SearchStats) {
-    let pm = match build_probe_with(g, spec, ii, include_reconfig, bitset) {
-        Ok(Some(pm)) => pm,
-        Ok(None) => return (IiOutcome::Infeasible, SearchStats::default()),
-        Err(e) => return (IiOutcome::Malformed(e), SearchStats::default()),
-    };
-    let ProbeModel {
-        mut model,
-        phases,
-        t_var,
-        k_var,
-        s_var,
-    } = pm;
-    let cfg = SearchConfig {
-        phases,
-        timeout: Some(budget),
-        cancel,
-        trace,
-        state_hash_every,
-        restarts,
-        ..Default::default()
-    };
-    let r = solve(&mut model, &cfg);
-    let outcome = match r.status {
-        SearchStatus::Optimal | SearchStatus::Feasible => {
-            let sol = r.best.unwrap();
-            let t_out = t_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let k_out = k_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let s_out = g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect();
-            IiOutcome::Feasible(t_out, k_out, s_out)
-        }
-        SearchStatus::Infeasible => IiOutcome::Infeasible,
-        SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,
-        SearchStatus::Unknown => IiOutcome::Timeout,
-    };
-    (outcome, r.stats)
-}
-
-/// Count the steady-state switches and assemble a [`ModuloResult`] for a
-/// feasible probe at `ii`.
-#[allow(clippy::too_many_arguments)]
-fn assemble_result(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-    ii: i32,
-    (t, k, s): (
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-    ),
-    opt_time: Duration,
-    timed_out: bool,
-    probes: Vec<ProbeStat>,
-    backend: &'static str,
-    sat: Option<SatStats>,
-) -> ModuloResult {
-    let switches = if opts.include_reconfig {
-        let groups = config_groups(g).len();
-        if groups > 1 {
-            groups
-        } else {
-            0
-        }
-    } else {
-        count_window_switches(g, &t)
-    };
-    let actual = ii + switches as i32 * spec.reconfig_cost;
-    ModuloResult {
-        ii_issue: ii,
-        switches,
-        actual_ii: actual,
-        throughput: 1.0 / actual as f64,
-        t,
-        k,
-        s,
-        opt_time,
-        timed_out,
-        probes,
-        jobs: opts.jobs.max(1),
-        backend,
-        sat,
-    }
-}
-
-fn outcome_str(o: &IiOutcome) -> &'static str {
-    match o {
-        IiOutcome::Feasible(..) => "feasible",
-        IiOutcome::Infeasible => "infeasible",
-        IiOutcome::Timeout => "timeout",
-        IiOutcome::Cancelled => "cancelled",
-        IiOutcome::Malformed(_) => "malformed",
-    }
-}
-
-/// Forward buffered per-probe event streams to the sweep's sink, each
-/// prefixed with a `Stream` marker carrying the candidate II. The caller
-/// passes only candidates up to and including the winner, in II order,
-/// so the merged stream is identical under any `jobs`.
-fn forward_probe_streams<'a>(
-    handle: &TraceHandle,
-    streams: impl IntoIterator<Item = (i32, &'a [SearchEvent])>,
-) {
-    for (ii, events) in streams {
-        handle.emit(&SearchEvent::Stream { id: ii as u32 });
-        for e in events {
-            handle.emit(e);
-        }
-    }
-    handle.flush();
-}
-
 /// Sweep II upward from the resource bound; return the first feasible
 /// modulo schedule under the chosen reconfiguration model.
-///
-/// With `opts.jobs > 1` the sweep is *speculative*: workers claim
-/// candidate IIs bottom-up and probe them concurrently; a feasible probe
-/// at II = v cancels every probe above v (they can no longer win), while
-/// candidates *below* a feasible one are always resolved genuinely —
-/// feasibility is not monotone in II for this CSP (a banded window can
-/// admit II = v yet refute II = v+1), so an infeasible probe never
-/// cancels anything. The winning II is therefore the minimum feasible
-/// candidate exactly as in the sequential sweep, and the winning probe's
-/// schedule is bit-identical (its CSP ran to a natural stop under its own
-/// deterministic DFS — cancellation only ever hits candidates above the
-/// winner).
 ///
 /// This is the `Option`-shaped convenience wrapper around
 /// [`modulo_schedule_checked`]: structured failures (malformed graph,
@@ -773,24 +648,180 @@ pub fn modulo_schedule(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> Opti
 }
 
 /// As [`modulo_schedule`], with structured errors kept apart from the
-/// ordinary "no schedule within budget" (`Ok(None)`) outcome, and with
-/// the backend dispatch: CP sweep, SAT sweep, or a race of the two.
+/// ordinary "no schedule within budget" (`Ok(None)`) outcome.
+///
+/// The one II sweep behind every backend: candidates `LB ..= max_ii`
+/// (serial horizon by default) go bottom-up to the backend's probe
+/// (`probe_cp`, `probe_sat` or `probe_race`), each under the per-II
+/// budget, the rest of the total budget and a child of the sweep's token.
+/// With `opts.jobs > 1`, up to `jobs` workers probe candidates
+/// speculatively: a probe that decides its candidate cancels only the
+/// probes above it, so every lower candidate is still resolved genuinely
+/// (feasibility is not monotone in II for this CSP) and the winner, its
+/// schedule and every probe up to it match the one-worker sweep
+/// (DESIGN.md §5f). One worker runs on the calling thread.
 pub fn modulo_schedule_checked(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<Option<ModuloResult>, ModuloError> {
-    match opts.backend {
-        Backend::Cp => modulo_schedule_cp(g, spec, opts),
-        Backend::Sat => {
-            check_sat_supported(opts)?;
-            modulo_schedule_sat(g, spec, opts).map(|(r, _)| r)
-        }
-        Backend::Race => {
-            check_sat_supported(opts)?;
-            modulo_schedule_race(g, spec, opts)
-        }
+    let probe: ProbeFn = match opts.backend {
+        Backend::Cp => probe_cp,
+        Backend::Sat => probe_sat,
+        Backend::Race => probe_race,
+    };
+    if opts.backend != Backend::Cp {
+        check_sat_supported(opts)?;
     }
+    let t0 = Instant::now();
+    let lb = ii_lower_bound(g, spec);
+    let ub = opts
+        .max_ii
+        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
+    let n = usize::try_from(ub - lb + 1).unwrap_or(0);
+    // SAT search emits no events, so the SAT and race sweeps are untraced.
+    let trace = opts.trace.as_ref().filter(|_| opts.backend == Backend::Cp);
+    let sweep = opts.cancel.clone().unwrap_or_default();
+    let claims = Mutex::new(Claims {
+        next: 0,
+        winner: usize::MAX,
+        running: Vec::new(),
+        rows: Vec::new(),
+    });
+
+    let work = |worker: usize| loop {
+        let (idx, token) = {
+            let mut c = lock(&claims);
+            let stopped = t0.elapsed() >= opts.total_timeout || sweep.is_cancelled();
+            if c.next >= n || c.next > c.winner || stopped {
+                return;
+            }
+            let token = sweep.child();
+            let idx = c.next;
+            c.next += 1;
+            c.running.push((idx, token.clone()));
+            (idx, token)
+        };
+        let budget = opts
+            .timeout_per_ii
+            .min(opts.total_timeout.saturating_sub(t0.elapsed()));
+        let buffer = trace.map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
+        let probe_trace = buffer.as_ref().map(|s| TraceHandle::new(Arc::clone(s)));
+        let tp = Instant::now();
+        let probe = probe(g, spec, opts, lb + idx as i32, budget, &token, probe_trace);
+        let time = tp.elapsed();
+        let events = buffer
+            .map(|s| std::mem::take(&mut lock(&s).events))
+            .unwrap_or_default();
+        let mut c = lock(&claims);
+        c.running.retain(|(i, _)| *i != idx);
+        let decided = matches!(
+            probe.outcome,
+            IiOutcome::Feasible(..) | IiOutcome::Malformed(_)
+        );
+        if decided && idx < c.winner {
+            c.winner = idx;
+            for (_, t) in c.running.iter().filter(|(i, _)| *i > idx) {
+                t.cancel();
+            }
+        }
+        c.rows.push(Row {
+            idx,
+            worker,
+            probe,
+            time,
+            events,
+        });
+    };
+    let workers = opts.jobs.clamp(1, n.max(1));
+    if workers == 1 {
+        work(0);
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || work(w));
+            }
+        });
+    }
+
+    let mut rows = claims.into_inner().unwrap_or_else(|e| e.into_inner()).rows;
+    rows.sort_by_key(|r| r.idx);
+    // The rows are a gapless prefix of the candidates (claims are handed
+    // out in order and a stopped claim stops every later one). The first
+    // row that neither refuted nor timed out decides the sweep: a
+    // schedule, a structured error, or — cancelled at or below any winner,
+    // which only the sweep's own token does — no answer.
+    let Some(w) = rows
+        .iter()
+        .position(|r| !matches!(r.probe.outcome, IiOutcome::Infeasible | IiOutcome::Timeout))
+    else {
+        return Ok(None);
+    };
+    let probes = rows
+        .iter()
+        .map(|r| ProbeStat {
+            ii: lb + r.idx as i32,
+            outcome: outcome_str(&r.probe.outcome),
+            nodes: r.probe.nodes,
+            fails: r.probe.fails,
+            time: r.time,
+            worker: r.worker,
+        })
+        .collect();
+    let timed_out = rows[..w]
+        .iter()
+        .any(|r| matches!(r.probe.outcome, IiOutcome::Timeout));
+    // Summed up to the winner only, so the counters do not depend on how
+    // far the speculative probes above it got.
+    let sat = (opts.backend != Backend::Cp).then(|| {
+        rows[..=w]
+            .iter()
+            .filter_map(|r| r.probe.sat)
+            .fold(SatStats::default(), std::ops::Add::add)
+    });
+    let backend = rows[w].probe.backend;
+    let (t, k, s) = match std::mem::replace(&mut rows[w].probe.outcome, IiOutcome::Cancelled) {
+        IiOutcome::Feasible(t, k, s) => (t, k, s),
+        IiOutcome::Malformed(e) => return Err(e),
+        _ => return Ok(None),
+    };
+    if let Some(handle) = trace {
+        // Every candidate up to the winner ran to a natural stop, so this
+        // merged stream is the same under any `jobs`.
+        for r in &rows[..=w] {
+            handle.emit(&SearchEvent::Stream {
+                id: (lb + r.idx as i32) as u32,
+            });
+            for e in &r.events {
+                handle.emit(e);
+            }
+        }
+        handle.flush();
+    }
+    let ii = lb + rows[w].idx as i32;
+    let switches = if opts.include_reconfig {
+        // The banded window switches once per band, never with one band.
+        Some(config_groups(g).len()).filter(|&b| b > 1).unwrap_or(0)
+    } else {
+        count_window_switches(g, &t)
+    };
+    let actual_ii = ii + switches as i32 * spec.reconfig_cost;
+    Ok(Some(ModuloResult {
+        ii_issue: ii,
+        switches,
+        actual_ii,
+        throughput: 1.0 / actual_ii as f64,
+        t,
+        k,
+        s,
+        opt_time: t0.elapsed(),
+        timed_out,
+        probes,
+        jobs: opts.jobs.max(1),
+        backend,
+        sat,
+    }))
 }
 
 fn check_sat_supported(opts: &ModuloOptions) -> Result<(), ModuloError> {
@@ -836,520 +867,228 @@ pub fn modulo_cnf_dimacs(
     Ok(None)
 }
 
-fn modulo_schedule_cp(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    if opts.jobs > 1 {
-        modulo_schedule_parallel(g, spec, opts)
-    } else {
-        modulo_schedule_sequential(g, spec, opts)
-    }
+/// One candidate II answered by a backend probe.
+struct Probe {
+    outcome: IiOutcome,
+    /// Search effort: CP nodes and fails, or SAT decisions and conflicts.
+    nodes: u64,
+    fails: u64,
+    /// Backend that answered (`"cp"` or `"sat"`; a race's deciding arm).
+    backend: &'static str,
+    /// SAT-solver counters, when a SAT probe ran for this candidate.
+    sat: Option<SatStats>,
 }
 
-/// The SAT sweep: encode each candidate II to CNF, solve it with the
-/// CDCL engine, and — before accepting — decode the model and run it
-/// through **both** independent verifiers ([`eit_arch::verify_modulo`]
-/// on the steady-state window and [`validate_modulo`] on the unrolled
-/// schedule). A verifier rejection is a structured
-/// [`ModuloError::BackendDisagreement`], never a panic and never a
-/// silently-wrong schedule. Returns the solver counters alongside so a
-/// race can report them even when CP wins.
-fn modulo_schedule_sat(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<(Option<ModuloResult>, SatStats), ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    let mut agg = SatStats::default();
-    let mut timed_out_any = false;
-    let mut probes: Vec<ProbeStat> = Vec::new();
+/// A backend probe: answer candidate `ii` within `budget`, stopping early
+/// when `cancel` trips, and record search events to the trace if given.
+type ProbeFn = fn(
+    &Graph,
+    &ArchSpec,
+    &ModuloOptions,
+    i32,
+    Duration,
+    &CancelToken,
+    Option<TraceHandle>,
+) -> Probe;
 
-    for ii in lb..=ub {
-        if t0.elapsed() >= opts.total_timeout {
-            break;
-        }
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            break;
-        }
-        let budget = opts
-            .timeout_per_ii
-            .min(opts.total_timeout.saturating_sub(t0.elapsed()));
-        let tp = Instant::now();
-        let enc = match eit_sat::encode_modulo(g, spec, ii) {
-            Ok(Some(enc)) => enc,
-            Ok(None) => {
-                probes.push(sat_probe_stat(ii, "infeasible", None, tp.elapsed()));
-                continue;
-            }
-            Err(e) => {
-                return Err(ModuloError::ModelBuild {
-                    node: e.node,
-                    detail: e.detail,
-                })
-            }
-        };
-        agg.vars += enc.cnf.n_vars as u64;
-        agg.clauses += enc.cnf.clauses.len() as u64;
-        let mut solver = eit_sat::Solver::new();
-        for _ in 0..enc.cnf.n_vars {
-            solver.new_var();
-        }
-        for c in &enc.cnf.clauses {
-            solver.add_clause(c);
-        }
-        let deadline = tp + budget;
-        let cancel = opts.cancel.clone();
-        let mut stop =
-            || Instant::now() >= deadline || cancel.as_ref().is_some_and(|c| c.is_cancelled());
-        let out = solver.solve(&mut stop);
-        agg.decisions += solver.stats.decisions;
-        agg.conflicts += solver.stats.conflicts;
-        agg.propagations += solver.stats.propagations;
-        agg.restarts += solver.stats.restarts;
-        match out {
-            eit_sat::SolveOutcome::Sat => {
-                probes.push(sat_probe_stat(
-                    ii,
-                    "feasible",
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-                let (t, k, s) = enc.decode(g, spec, &|v| solver.model_value(v));
-                let violations = eit_arch::verify_modulo(g, spec, &s, ii);
-                if !violations.is_empty() {
-                    return Err(ModuloError::BackendDisagreement(format!(
-                        "sat schedule at II={ii} rejected by verify_modulo: {:?}",
-                        violations.first()
-                    )));
-                }
-                let r = assemble_result(
-                    g,
-                    spec,
-                    opts,
-                    ii,
-                    (t, k, s),
-                    t0.elapsed(),
-                    timed_out_any,
-                    probes,
-                    "sat",
-                    Some(agg),
-                );
-                let structural = validate_modulo(g, spec, &r, 3);
-                if !structural.is_empty() {
-                    return Err(ModuloError::BackendDisagreement(format!(
-                        "sat schedule at II={ii} rejected by the structural validator: {:?}",
-                        structural.first()
-                    )));
-                }
-                return Ok((Some(r), agg));
-            }
-            eit_sat::SolveOutcome::Unsat => {
-                probes.push(sat_probe_stat(
-                    ii,
-                    "infeasible",
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-            }
-            eit_sat::SolveOutcome::Stopped => {
-                let cancelled = opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
-                let outcome = if cancelled { "cancelled" } else { "timeout" };
-                timed_out_any |= !cancelled;
-                probes.push(sat_probe_stat(
-                    ii,
-                    outcome,
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-            }
-        }
-    }
-    Ok((None, agg))
+/// The state the workers of one sweep share.
+struct Claims {
+    /// Next unclaimed candidate index.
+    next: usize,
+    /// Lowest candidate index decided so far (`usize::MAX`: none yet).
+    winner: usize,
+    /// Tokens of the probes in flight, by candidate index.
+    running: Vec<(usize, CancelToken)>,
+    /// The finished probes, in completion order.
+    rows: Vec<Row>,
 }
 
-/// Map one SAT probe onto the sweep's [`ProbeStat`] shape: decisions
-/// count as nodes, conflicts as fails.
-fn sat_probe_stat(
-    ii: i32,
-    outcome: &'static str,
-    stats: Option<&eit_sat::SolverStats>,
+/// One probed candidate, as its worker reports it.
+struct Row {
+    idx: usize,
+    worker: usize,
+    probe: Probe,
     time: Duration,
-) -> ProbeStat {
-    ProbeStat {
-        ii,
+    /// The probe's buffered search events (empty when untraced).
+    events: VecDeque<SearchEvent>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The CP probe: build the candidate's CSP and run its phased
+/// satisfaction search.
+fn probe_cp(
+    g: &Graph,
+    spec: &ArchSpec,
+    opts: &ModuloOptions,
+    ii: i32,
+    budget: Duration,
+    cancel: &CancelToken,
+    trace: Option<TraceHandle>,
+) -> Probe {
+    let answer = |outcome: IiOutcome, stats: SearchStats| Probe {
         outcome,
-        nodes: stats.map_or(0, |s| s.decisions),
-        fails: stats.map_or(0, |s| s.conflicts),
-        time,
-        worker: 0,
-    }
+        nodes: stats.nodes,
+        fails: stats.fails,
+        backend: "cp",
+        sat: None,
+    };
+    let ProbeModel {
+        mut model,
+        phases,
+        t_var,
+        k_var,
+        s_var,
+    } = match build_probe_with(g, spec, ii, opts.include_reconfig, opts.bitset) {
+        Ok(Some(pm)) => pm,
+        Ok(None) => return answer(IiOutcome::Infeasible, SearchStats::default()),
+        Err(e) => return answer(IiOutcome::Malformed(e), SearchStats::default()),
+    };
+    let cfg = SearchConfig {
+        phases,
+        timeout: Some(budget),
+        cancel: Some(cancel.clone()),
+        trace,
+        state_hash_every: opts.state_hash_every,
+        restarts: opts.restarts,
+        ..Default::default()
+    };
+    let r = solve(&mut model, &cfg);
+    let outcome = match r.status {
+        SearchStatus::Optimal | SearchStatus::Feasible => {
+            let sol = r.best.unwrap();
+            let t_out = t_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
+            let k_out = k_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
+            let s_out = g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect();
+            IiOutcome::Feasible(t_out, k_out, s_out)
+        }
+        SearchStatus::Infeasible => IiOutcome::Infeasible,
+        SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,
+        SearchStatus::Unknown => IiOutcome::Timeout,
+    };
+    answer(outcome, r.stats)
 }
 
-/// Race the CP and SAT sweeps under child cancellation tokens: both
-/// probe the same bottom-up candidate order, the first to return a
-/// schedule cancels the other. Because both sweeps start at the same
-/// resource lower bound and stop at their first feasible candidate, the
-/// winning II is the same either way (absent timeouts) — the race only
-/// decides *which backend* gets there first, reported in
-/// [`ModuloResult::backend`].
-fn modulo_schedule_race(
+/// The SAT probe: encode the candidate to CNF, solve it with the CDCL
+/// engine and decode the model. Before the schedule is accepted it must
+/// pass **both** independent verifiers ([`eit_arch::verify_modulo`] on the
+/// steady-state window, then the unrolled structural check of
+/// [`validate_modulo`]). A rejection is a structured
+/// [`ModuloError::BackendDisagreement`], never a panic and never a
+/// silently-wrong schedule. Decisions count as nodes, conflicts as fails.
+fn probe_sat(
+    g: &Graph,
+    spec: &ArchSpec,
+    _opts: &ModuloOptions,
+    ii: i32,
+    budget: Duration,
+    cancel: &CancelToken,
+    _trace: Option<TraceHandle>,
+) -> Probe {
+    let deadline = Instant::now() + budget;
+    let answer = |outcome: IiOutcome, sat: SatStats| Probe {
+        outcome,
+        nodes: sat.decisions,
+        fails: sat.conflicts,
+        backend: "sat",
+        sat: Some(sat),
+    };
+    let enc = match eit_sat::encode_modulo(g, spec, ii) {
+        Ok(Some(enc)) => enc,
+        Ok(None) => return answer(IiOutcome::Infeasible, SatStats::default()),
+        Err(e) => {
+            let e = ModuloError::ModelBuild {
+                node: e.node,
+                detail: e.detail,
+            };
+            return answer(IiOutcome::Malformed(e), SatStats::default());
+        }
+    };
+    let mut solver = eit_sat::Solver::new();
+    for _ in 0..enc.cnf.n_vars {
+        solver.new_var();
+    }
+    for c in &enc.cnf.clauses {
+        solver.add_clause(c);
+    }
+    let out = solver.solve(&mut || Instant::now() >= deadline || cancel.is_cancelled());
+    let stats = SatStats {
+        vars: enc.cnf.n_vars as u64,
+        clauses: enc.cnf.clauses.len() as u64,
+        decisions: solver.stats.decisions,
+        conflicts: solver.stats.conflicts,
+        propagations: solver.stats.propagations,
+        restarts: solver.stats.restarts,
+    };
+    let disagree = |msg: String| IiOutcome::Malformed(ModuloError::BackendDisagreement(msg));
+    let outcome = match out {
+        eit_sat::SolveOutcome::Sat => {
+            let (t, k, s) = enc.decode(g, spec, &|v| solver.model_value(v));
+            if let Some(v) = eit_arch::verify_modulo(g, spec, &s, ii).first() {
+                disagree(format!(
+                    "sat schedule at II={ii} rejected by verify_modulo: {:?}",
+                    Some(v)
+                ))
+            } else if let Some(v) = validate_unrolled(g, spec, &s, ii, 3).first() {
+                disagree(format!(
+                    "sat schedule at II={ii} rejected by the structural validator: {:?}",
+                    Some(v)
+                ))
+            } else {
+                IiOutcome::Feasible(t, k, s)
+            }
+        }
+        eit_sat::SolveOutcome::Unsat => IiOutcome::Infeasible,
+        eit_sat::SolveOutcome::Stopped if cancel.is_cancelled() => IiOutcome::Cancelled,
+        eit_sat::SolveOutcome::Stopped => IiOutcome::Timeout,
+    };
+    answer(outcome, stats)
+}
+
+/// The race probe: the CP and SAT probes of one candidate run side by
+/// side under sibling children of the probe's token. Both backends are
+/// exact, so the first decisive answer — a schedule, a refutation or a
+/// structured error — decides the candidate and cancels the other arm.
+/// The SAT arm's counters ride along whichever arm decides.
+fn probe_race(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let mk_child = || {
-        opts.cancel
-            .as_ref()
-            .map_or_else(CancelToken::new, |c| c.child())
-    };
-    let cp_token = mk_child();
-    let sat_token = mk_child();
-    let finish_order = AtomicUsize::new(0);
-
-    type Arm = (Result<Option<ModuloResult>, ModuloError>, SatStats, usize);
-    let run = |backend: Backend, token: CancelToken, other: CancelToken| -> Arm {
-        let sub = ModuloOptions {
-            cancel: Some(token),
-            backend,
-            // Racing is untraced: per-backend streams would interleave
-            // nondeterministically (the cp backend keeps full tracing).
-            trace: None,
-            ..opts.clone()
-        };
-        let (res, sat) = match backend {
-            Backend::Sat => match modulo_schedule_sat(g, spec, &sub) {
-                Ok((r, stats)) => (Ok(r), stats),
-                Err(e) => (Err(e), SatStats::default()),
-            },
-            _ => (modulo_schedule_cp(g, spec, &sub), SatStats::default()),
-        };
-        let seq = finish_order.fetch_add(1, Ordering::AcqRel);
-        if matches!(res, Ok(Some(_))) {
-            other.cancel();
+    ii: i32,
+    budget: Duration,
+    cancel: &CancelToken,
+    _trace: Option<TraceHandle>,
+) -> Probe {
+    let arms = [cancel.child(), cancel.child()];
+    let first = OnceLock::new();
+    let run = |arm: usize, probe: ProbeFn| {
+        let p = probe(g, spec, opts, ii, budget, &arms[arm], None);
+        let decisive = !matches!(p.outcome, IiOutcome::Timeout | IiOutcome::Cancelled);
+        if decisive && first.set(arm).is_ok() {
+            arms[1 - arm].cancel();
         }
-        (res, sat, seq)
+        p
     };
-
-    let ((cp_res, _, cp_seq), (sat_res, sat_stats, sat_seq)) = std::thread::scope(|scope| {
-        let cp = scope.spawn(|| run(Backend::Cp, cp_token.clone(), sat_token.clone()));
-        let sat = scope.spawn(|| run(Backend::Sat, sat_token.clone(), cp_token.clone()));
-        (
-            cp.join().expect("cp racer panicked"),
-            sat.join().expect("sat racer panicked"),
-        )
+    let (cp, sat) = std::thread::scope(|scope| {
+        let sat = scope.spawn(|| run(1, probe_sat));
+        (run(0, probe_cp), sat.join().expect("sat arm panicked"))
     });
-
-    // First finisher with a schedule wins; a structured error surfaces
-    // only when neither side produced one.
-    let mut arms: Vec<Arm> = vec![
-        (cp_res, SatStats::default(), cp_seq),
-        (sat_res, sat_stats, sat_seq),
-    ];
-    arms.sort_by_key(|&(_, _, seq)| seq);
-    let mut first_err = None;
-    for (res, _, _) in arms {
-        match res {
-            Ok(Some(mut r)) => {
-                if r.sat.is_none() {
-                    r.sat = Some(sat_stats);
-                }
-                return Ok(Some(r));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(None),
-    }
+    let sat_stats = sat.sat;
+    let mut p = if first.get() == Some(&1) { sat } else { cp };
+    p.sat = sat_stats;
+    p
 }
 
-fn modulo_schedule_sequential(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    let mut timed_out_any = false;
-    let mut probes: Vec<ProbeStat> = Vec::new();
-    let mut streams: Vec<(i32, Vec<SearchEvent>)> = Vec::new();
-
-    for ii in lb..=ub {
-        if t0.elapsed() >= opts.total_timeout {
-            break;
-        }
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            break;
-        }
-        let budget = opts
-            .timeout_per_ii
-            .min(opts.total_timeout.saturating_sub(t0.elapsed()));
-        let tp = Instant::now();
-        let buffer = opts
-            .trace
-            .as_ref()
-            .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
-        let probe_trace = buffer.as_ref().map(|s| TraceHandle::new(Arc::clone(s)));
-        let (outcome, stats) = probe_ii(
-            g,
-            spec,
-            ii,
-            opts.include_reconfig,
-            budget,
-            opts.cancel.clone(),
-            probe_trace,
-            opts.state_hash_every,
-            opts.restarts,
-            opts.bitset,
-        );
-        if let Some(sink) = buffer {
-            let events: Vec<SearchEvent> = sink
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .events
-                .drain(..)
-                .collect();
-            streams.push((ii, events));
-        }
-        probes.push(ProbeStat {
-            ii,
-            outcome: outcome_str(&outcome),
-            nodes: stats.nodes,
-            fails: stats.fails,
-            time: tp.elapsed(),
-            worker: 0,
-        });
-        match outcome {
-            IiOutcome::Timeout => {
-                // This II was undecided — move on, remember the hole.
-                timed_out_any = true;
-                continue;
-            }
-            IiOutcome::Feasible(t, k, s) => {
-                if let Some(handle) = &opts.trace {
-                    // Every buffered stream is at a candidate ≤ the
-                    // winner: the sweep stops at the first feasible II.
-                    forward_probe_streams(
-                        handle,
-                        streams.iter().map(|(pii, ev)| (*pii, ev.as_slice())),
-                    );
-                }
-                return Ok(Some(assemble_result(
-                    g,
-                    spec,
-                    opts,
-                    ii,
-                    (t, k, s),
-                    t0.elapsed(),
-                    timed_out_any,
-                    probes,
-                    "cp",
-                    None,
-                )));
-            }
-            IiOutcome::Malformed(e) => return Err(e),
-            IiOutcome::Infeasible | IiOutcome::Cancelled => continue,
-        }
+fn outcome_str(o: &IiOutcome) -> &'static str {
+    match o {
+        IiOutcome::Feasible(..) => "feasible",
+        IiOutcome::Infeasible => "infeasible",
+        IiOutcome::Timeout => "timeout",
+        IiOutcome::Cancelled => "cancelled",
+        IiOutcome::Malformed(_) => "malformed",
     }
-    Ok(None)
-}
-
-/// The speculative parallel II sweep (see [`modulo_schedule`]).
-fn modulo_schedule_parallel(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    if ub < lb {
-        return Ok(None);
-    }
-    let candidates: Vec<i32> = (lb..=ub).collect();
-    // Per-probe tokens; children of the sweep-level token (when present)
-    // so a request deadline stops every probe, while a feasible probe
-    // still cancels only the candidates above it.
-    let tokens: Vec<CancelToken> = candidates
-        .iter()
-        .map(|_| {
-            opts.cancel
-                .as_ref()
-                .map_or_else(CancelToken::new, |c| c.child())
-        })
-        .collect();
-    let next = AtomicUsize::new(0);
-    // Index of the lowest candidate known feasible so far.
-    let winner = AtomicUsize::new(usize::MAX);
-    type Entry = (
-        usize,
-        usize,
-        IiOutcome,
-        SearchStats,
-        Duration,
-        Vec<SearchEvent>,
-    );
-    let entries: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for w in 0..opts.jobs {
-            let next = &next;
-            let winner = &winner;
-            let entries = &entries;
-            let tokens = &tokens;
-            let candidates = &candidates;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= candidates.len() {
-                    return;
-                }
-                let push = |o: IiOutcome, st: SearchStats, el: Duration, ev: Vec<SearchEvent>| {
-                    entries
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((idx, w, o, st, el, ev));
-                };
-                if idx > winner.load(Ordering::Acquire) || tokens[idx].is_cancelled() {
-                    push(
-                        IiOutcome::Cancelled,
-                        SearchStats::default(),
-                        Duration::ZERO,
-                        Vec::new(),
-                    );
-                    continue;
-                }
-                let remaining = opts.total_timeout.saturating_sub(t0.elapsed());
-                if remaining.is_zero() {
-                    push(
-                        IiOutcome::Timeout,
-                        SearchStats::default(),
-                        Duration::ZERO,
-                        Vec::new(),
-                    );
-                    continue;
-                }
-                let budget = opts.timeout_per_ii.min(remaining);
-                let tp = Instant::now();
-                let buffer = opts
-                    .trace
-                    .as_ref()
-                    .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
-                let probe_trace = buffer.as_ref().map(|s| TraceHandle::new(Arc::clone(s)));
-                let (outcome, stats) = probe_ii(
-                    g,
-                    spec,
-                    candidates[idx],
-                    opts.include_reconfig,
-                    budget,
-                    Some(tokens[idx].clone()),
-                    probe_trace,
-                    opts.state_hash_every,
-                    opts.restarts,
-                    opts.bitset,
-                );
-                if matches!(outcome, IiOutcome::Feasible(..)) {
-                    // This candidate can only lose to a *lower* feasible
-                    // one, so everything above it is dead — cancel it.
-                    // Lower in-flight probes keep running: they must be
-                    // genuinely refuted for the merge to pick the true
-                    // minimum.
-                    let prev = winner.fetch_min(idx, Ordering::AcqRel);
-                    if idx < prev {
-                        for t in &tokens[idx + 1..] {
-                            t.cancel();
-                        }
-                    }
-                }
-                let events = buffer
-                    .map(|s| {
-                        s.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .events
-                            .drain(..)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                push(outcome, stats, tp.elapsed(), events);
-            });
-        }
-    });
-
-    let mut entries = entries.into_inner().unwrap_or_else(|e| e.into_inner());
-    entries.sort_by_key(|(i, ..)| *i);
-    // A malformed model is a property of the graph, not of a candidate:
-    // surface the structured diagnostic instead of an empty sweep.
-    if let Some(pos) = entries
-        .iter()
-        .position(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Malformed(_)))
-    {
-        let (_, _, outcome, _, _, _) = entries.swap_remove(pos);
-        let IiOutcome::Malformed(e) = outcome else {
-            unreachable!("pos indexes a malformed entry");
-        };
-        return Err(e);
-    }
-    let Some(wpos) = entries
-        .iter()
-        .position(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Feasible(..)))
-    else {
-        return Ok(None);
-    };
-    let timed_out_any = entries[..wpos]
-        .iter()
-        .any(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Timeout));
-    let probes: Vec<ProbeStat> = entries
-        .iter()
-        .map(|(i, w, o, st, el, _)| ProbeStat {
-            ii: candidates[*i],
-            outcome: outcome_str(o),
-            nodes: st.nodes,
-            fails: st.fails,
-            time: *el,
-            worker: *w,
-        })
-        .collect();
-    if let Some(handle) = &opts.trace {
-        // Candidates below the winner are always genuinely resolved
-        // (cancellation only hits candidates above it), so this prefix —
-        // and hence the merged trace — matches the sequential sweep's.
-        forward_probe_streams(
-            handle,
-            entries[..=wpos]
-                .iter()
-                .map(|(i, _, _, _, _, ev)| (candidates[*i], ev.as_slice())),
-        );
-    }
-    let (widx, _, outcome, _, _, _) = entries.swap_remove(wpos);
-    let IiOutcome::Feasible(t, k, s) = outcome else {
-        unreachable!("wpos indexes a feasible entry");
-    };
-    Ok(Some(assemble_result(
-        g,
-        spec,
-        opts,
-        candidates[widx],
-        (t, k, s),
-        t0.elapsed(),
-        timed_out_any,
-        probes,
-        "cp",
-        None,
-    )))
 }
 
 /// Unroll `n_iters` iterations at the issue II and validate the combined
@@ -1362,11 +1101,22 @@ pub fn validate_modulo(
     r: &ModuloResult,
     n_iters: usize,
 ) -> Vec<eit_arch::Violation> {
+    validate_unrolled(g, spec, &r.s, r.ii_issue, n_iters)
+}
+
+/// [`validate_modulo`] over bare start times `s` at issue II `ii`.
+fn validate_unrolled(
+    g: &Graph,
+    spec: &ArchSpec,
+    s: &HashMap<NodeId, i32>,
+    ii: i32,
+    n_iters: usize,
+) -> Vec<eit_arch::Violation> {
     let (big, map) = crate::replicate::replicate(g, n_iters);
     let mut sched = Schedule::new(big.len());
     for (it, ids) in map.iter().enumerate() {
         for n in g.ids() {
-            sched.start[ids[n.idx()].idx()] = r.s[&n] + it as i32 * r.ii_issue;
+            sched.start[ids[n.idx()].idx()] = s[&n] + it as i32 * ii;
         }
     }
     sched.compute_makespan(&big, &spec.latency_of(&big));
@@ -1428,29 +1178,36 @@ mod tests {
 
     #[test]
     fn expired_deadline_cancels_the_sweep_quickly() {
-        // Both sweep flavors must honour an already-expired wall-clock
-        // deadline: no probe runs to completion, so no schedule comes
-        // back, and the call returns promptly.
+        // Every backend, on one worker or several, must honour an
+        // already-expired wall-clock deadline: no probe runs to
+        // completion, so no schedule comes back, and the call returns
+        // promptly.
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
-        for jobs in [1, 4] {
-            let token = CancelToken::with_deadline(std::time::Instant::now());
-            let t0 = std::time::Instant::now();
-            let r = modulo_schedule(
-                &g,
-                &spec,
-                &ModuloOptions {
-                    jobs,
-                    cancel: Some(token),
-                    ..Default::default()
-                },
-            );
-            assert!(r.is_none(), "jobs={jobs}: cancelled sweep found {r:?}");
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "jobs={jobs}: cancelled sweep took {:?}",
-                t0.elapsed()
-            );
+        for backend in [Backend::Cp, Backend::Sat, Backend::Race] {
+            for jobs in [1, 4] {
+                let token = CancelToken::with_deadline(std::time::Instant::now());
+                let t0 = std::time::Instant::now();
+                let r = modulo_schedule(
+                    &g,
+                    &spec,
+                    &ModuloOptions {
+                        backend,
+                        jobs,
+                        cancel: Some(token),
+                        ..Default::default()
+                    },
+                );
+                assert!(
+                    r.is_none(),
+                    "{backend:?}/jobs={jobs}: cancelled sweep found {r:?}"
+                );
+                assert!(
+                    t0.elapsed() < std::time::Duration::from_secs(5),
+                    "{backend:?}/jobs={jobs}: cancelled sweep took {:?}",
+                    t0.elapsed()
+                );
+            }
         }
     }
 
@@ -1458,36 +1215,46 @@ mod tests {
     fn parallel_sweep_matches_sequential_schedule() {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
-        let seq = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        let par = modulo_schedule(
-            &g,
-            &spec,
-            &ModuloOptions {
-                jobs: 4,
+        for backend in [Backend::Cp, Backend::Sat] {
+            let opts = |jobs: usize, max_ii: Option<i32>| ModuloOptions {
+                backend,
+                jobs,
+                max_ii,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(par.ii_issue, seq.ii_issue);
-        assert_eq!(par.switches, seq.switches);
-        assert_eq!(par.actual_ii, seq.actual_ii);
-        // Byte-identical schedules: the winning probe is never cancelled,
-        // so its deterministic DFS reproduces the sequential assignment.
-        assert_eq!(par.t, seq.t);
-        assert_eq!(par.k, seq.k);
-        assert_eq!(par.s, seq.s);
-        // Probe records at or below the winner agree modulo timing and
-        // worker attribution.
-        let key = |r: &ModuloResult| {
-            r.probes
-                .iter()
-                .filter(|p| p.ii <= r.ii_issue)
-                .map(|p| (p.ii, p.outcome, p.nodes, p.fails))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&par), key(&seq));
-        assert_eq!(par.jobs, 4);
-        assert_eq!(seq.jobs, 1);
+            };
+            let seq = modulo_schedule(&g, &spec, &opts(1, None)).unwrap();
+            let par = modulo_schedule(&g, &spec, &opts(4, None)).unwrap();
+            // Three candidates (4..=6): eight requested workers, three run.
+            let capped = modulo_schedule(&g, &spec, &opts(8, Some(6))).unwrap();
+            for r in [&par, &capped] {
+                assert_eq!(r.ii_issue, seq.ii_issue, "{backend:?}");
+                assert_eq!(r.switches, seq.switches);
+                assert_eq!(r.actual_ii, seq.actual_ii);
+                // Byte-identical schedules: the winning probe is never
+                // cancelled, so its deterministic search reproduces the
+                // sequential assignment.
+                assert_eq!(r.t, seq.t, "{backend:?}");
+                assert_eq!(r.k, seq.k);
+                assert_eq!(r.s, seq.s);
+                assert_eq!(r.backend, seq.backend);
+                // SAT counters stop at the winner, so they do not depend
+                // on how far the speculative probes above it got.
+                assert_eq!(r.sat, seq.sat, "{backend:?}");
+            }
+            assert!(capped.probes.iter().all(|p| p.worker < 3), "{backend:?}");
+            // Probe records at or below the winner agree modulo timing and
+            // worker attribution.
+            let key = |r: &ModuloResult| {
+                r.probes
+                    .iter()
+                    .filter(|p| p.ii <= r.ii_issue)
+                    .map(|p| (p.ii, p.outcome, p.nodes, p.fails))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(key(&par), key(&seq), "{backend:?}");
+            assert_eq!((seq.jobs, par.jobs, capped.jobs), (1, 4, 8));
+            assert_eq!(seq.sat.is_some(), backend == Backend::Sat);
+        }
     }
 
     #[test]
@@ -1509,8 +1276,8 @@ mod tests {
         let stats = sat.sat.expect("sat result must carry solver stats");
         assert!(stats.vars > 0 && stats.clauses > 0);
         // The SAT schedule is independently decoded; both verifiers have
-        // already run inside modulo_schedule_sat, but check the public one
-        // again from the outside.
+        // already run inside the SAT probe, but check the public one again
+        // from the outside.
         assert!(eit_arch::verify_modulo(&g, &spec, &sat.s, sat.ii_issue).is_empty());
     }
 
@@ -1519,24 +1286,28 @@ mod tests {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
         let cp = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        let race = modulo_schedule(
-            &g,
-            &spec,
-            &ModuloOptions {
-                backend: Backend::Race,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(race.ii_issue, cp.ii_issue);
-        assert!(
-            race.backend == "cp" || race.backend == "sat",
-            "race winner must be attributed, got {:?}",
-            race.backend
-        );
-        // SAT counters ride along even when CP wins the race.
-        assert!(race.sat.is_some());
-        assert!(eit_arch::verify_modulo(&g, &spec, &race.s, race.ii_issue).is_empty());
+        for jobs in [1, 4] {
+            let race = modulo_schedule(
+                &g,
+                &spec,
+                &ModuloOptions {
+                    backend: Backend::Race,
+                    jobs,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(race.ii_issue, cp.ii_issue, "jobs={jobs}");
+            assert!(
+                race.backend == "cp" || race.backend == "sat",
+                "jobs={jobs}: race winner must be attributed, got {:?}",
+                race.backend
+            );
+            // SAT counters ride along even when CP wins the race.
+            assert!(race.sat.is_some());
+            assert!(eit_arch::verify_modulo(&g, &spec, &race.s, race.ii_issue).is_empty());
+            assert!(validate_modulo(&g, &spec, &race, 3).is_empty());
+        }
     }
 
     #[test]
@@ -1565,23 +1336,29 @@ mod tests {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
         for backend in [Backend::Sat, Backend::Race] {
-            let token = CancelToken::with_deadline(std::time::Instant::now());
-            let t0 = std::time::Instant::now();
-            let r = modulo_schedule(
-                &g,
-                &spec,
-                &ModuloOptions {
-                    backend,
-                    cancel: Some(token),
-                    ..Default::default()
-                },
-            );
-            assert!(r.is_none(), "{backend:?}: cancelled sweep found {r:?}");
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "{backend:?}: cancelled sweep took {:?}",
-                t0.elapsed()
-            );
+            for jobs in [1, 4] {
+                let token = CancelToken::with_deadline(std::time::Instant::now());
+                let t0 = std::time::Instant::now();
+                let r = modulo_schedule(
+                    &g,
+                    &spec,
+                    &ModuloOptions {
+                        backend,
+                        jobs,
+                        cancel: Some(token),
+                        ..Default::default()
+                    },
+                );
+                assert!(
+                    r.is_none(),
+                    "{backend:?}/jobs={jobs}: cancelled sweep found {r:?}"
+                );
+                assert!(
+                    t0.elapsed() < std::time::Duration::from_secs(5),
+                    "{backend:?}/jobs={jobs}: cancelled sweep took {:?}",
+                    t0.elapsed()
+                );
+            }
         }
     }
 
