@@ -40,11 +40,13 @@
 //!   --emit cnf          with --modulo: print the first encodable candidate
 //!                       II of the sweep as a DIMACS CNF problem and exit
 //!                       (escape hatch for external SAT solvers)
+//!   --emit jsonl        with --replay FILE: print every recorded search
+//!                       event as one JSON line, in file order, and exit
+//!                       (no kernel needed, no solve)
 //!   --verify            after scheduling, re-check the result with the
 //!                       independent verifier (eit-arch `verify` module) AND
 //!                       the simulator's structural validation; exit 1 if
 //!                       either reports a violation
-//!   --trace FILE        write the solver's search events as JSON lines
 //!   --record FILE       record the solve as a binary eit-trace/1 file
 //!                       (canonical IR/arch hashes + every search event +
 //!                       periodic store digests); replay it with --replay
@@ -56,8 +58,6 @@
 //!   --lenient           replay: only outcome mismatches fail (solutions,
 //!                       bounds, store hashes, final status)
 //!   --profile           print the per-propagator profile table (stderr)
-//!   --fifo              use the legacy FIFO propagation scheduler (A/B
-//!                       baseline for the event-driven engine)
 //!   --no-bitset         pin every solver variable to interval-list domains
 //!                       instead of the hybrid bitset representation (A/B
 //!                       baseline; same schedules, slower propagation)
@@ -80,7 +80,7 @@ use eit_arch::ArchSpec;
 use eit_bench::{Json, RunMetrics};
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
 use eit_core::{bundles_from_schedule, overlapped_execution, ModuloOptions, SchedulerOptions};
-use eit_cp::trace::{JsonlSink, TraceHandle};
+use eit_cp::trace::TraceHandle;
 use eit_cp::{RecorderSink, ReplayOptions, Trace, TraceHeader};
 use eit_ir::sem::Value;
 use eit_ir::{Graph, NodeId};
@@ -106,13 +106,12 @@ struct Args {
     emit_dot: bool,
     emit_vcd: bool,
     emit_cnf: bool,
+    emit_jsonl: bool,
     verify: bool,
-    trace: Option<String>,
     record: Option<String>,
     replay: Option<String>,
     lenient: bool,
     profile: bool,
-    fifo: bool,
     no_bitset: bool,
     restarts: Option<eit_cp::RestartConfig>,
     metrics: Option<String>,
@@ -125,11 +124,12 @@ fn usage() -> ! {
     eprintln!("            [--modulo [incl]] [--backend cp|sat|race] [--jobs N]");
     eprintln!("            [--overlap M] [--timeout SECS]");
     eprintln!("            [--emit xml|gantt|dot|vcd|cnf] [--verify]");
-    eprintln!("            [--trace FILE] [--record FILE] [--replay FILE [--strict|--lenient]]");
-    eprintln!("            [--profile] [--fifo] [--no-bitset] [--restarts [POLICY]]");
+    eprintln!("            [--record FILE] [--replay FILE [--strict|--lenient]]");
+    eprintln!("            [--profile] [--no-bitset] [--restarts [POLICY]]");
     eprintln!("            [--metrics FILE]");
     eprintln!("       eitc --serve ADDR [--jobs N] [--timeout SECS] [--metrics FILE]");
     eprintln!("       eitc --dump-arch PRESET|FILE");
+    eprintln!("       eitc --replay FILE --emit jsonl");
     exit(2);
 }
 
@@ -156,13 +156,12 @@ fn parse_args() -> Args {
         emit_dot: false,
         emit_vcd: false,
         emit_cnf: false,
+        emit_jsonl: false,
         verify: false,
-        trace: None,
         record: None,
         replay: None,
         lenient: false,
         profile: false,
-        fifo: false,
         no_bitset: false,
         restarts: None,
         metrics: None,
@@ -225,17 +224,16 @@ fn parse_args() -> Args {
                 Some("dot") => args.emit_dot = true,
                 Some("vcd") => args.emit_vcd = true,
                 Some("cnf") => args.emit_cnf = true,
+                Some("jsonl") => args.emit_jsonl = true,
                 Some(other) => bad_arg(&format!("--emit {other}")),
                 None => usage(),
             },
             "--verify" => args.verify = true,
-            "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
             "--record" => args.record = Some(it.next().unwrap_or_else(|| usage())),
             "--replay" => args.replay = Some(it.next().unwrap_or_else(|| usage())),
             "--strict" => args.lenient = false,
             "--lenient" => args.lenient = true,
             "--profile" => args.profile = true,
-            "--fifo" => args.fifo = true,
             "--no-bitset" => args.no_bitset = true,
             "--restarts" => {
                 // The policy token is optional: a following argument is
@@ -258,7 +256,11 @@ fn parse_args() -> Args {
             other => bad_arg(other),
         }
     }
-    if args.kernel.is_empty() && args.serve.is_none() && args.dump_arch.is_none() {
+    if args.kernel.is_empty()
+        && args.serve.is_none()
+        && args.dump_arch.is_none()
+        && !args.emit_jsonl
+    {
         usage();
     }
     args
@@ -449,6 +451,32 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
     Json::Obj(fields)
 }
 
+/// Load an `eit-trace/1` file, exiting 1 with a message if it is
+/// unreadable or corrupt.
+fn read_trace(path: &str) -> Trace {
+    Trace::read(path).unwrap_or_else(|e| {
+        eprintln!("eitc: cannot read trace {path}: {e}");
+        exit(1);
+    })
+}
+
+/// `--replay FILE --emit jsonl`: print every recorded event as one
+/// [`eit_cp::SearchEvent::to_json`] line, in file order, then exit 0.
+fn emit_jsonl_view(path: &str) -> ! {
+    use std::io::Write as _;
+    let t = read_trace(path);
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    for e in &t.events {
+        if writeln!(out, "{}", e.to_json()).is_err() {
+            exit(1);
+        }
+    }
+    if out.flush().is_err() {
+        exit(1);
+    }
+    exit(0);
+}
+
 /// Refuse a trace recorded for a different problem or solver setup.
 fn check_trace_header(h: &TraceHeader, ir: u64, arch: u64, config: &str) {
     if h.ir_hash != ir {
@@ -516,6 +544,13 @@ fn main() {
         print!("{}", eit_arch::to_arch_xml(&load_arch(a)));
         return;
     }
+    if args.emit_jsonl {
+        let Some(path) = &args.replay else {
+            eprintln!("eitc: --emit jsonl requires --replay FILE");
+            usage();
+        };
+        emit_jsonl_view(path);
+    }
     if let Some(addr) = &args.serve {
         serve_mode(addr, &args);
     }
@@ -555,10 +590,6 @@ fn main() {
         eprintln!("eitc: --record and --replay are mutually exclusive");
         exit(2);
     }
-    if rr && args.trace.is_some() {
-        eprintln!("eitc: --trace (JSONL) cannot be combined with --record/--replay");
-        exit(2);
-    }
     if rr && args.modulo.is_none() {
         // The recorded canonical IR hash must cover the exact graph the
         // solver sees, so the CSE pass runs here instead of inside
@@ -569,14 +600,6 @@ fn main() {
         }
     }
 
-    let trace = args.trace.as_ref().map(|path| {
-        let sink = JsonlSink::create(path).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot open trace file {path}: {e}");
-            exit(1);
-        });
-        TraceHandle::new(sink)
-    });
-
     if let Some(include_reconfig) = args.modulo {
         let mut mopts = ModuloOptions {
             include_reconfig,
@@ -584,7 +607,6 @@ fn main() {
             timeout_per_ii: timeout,
             total_timeout: timeout,
             jobs: args.jobs,
-            trace: trace.clone(),
             restarts: args.restarts,
             bitset: !args.no_bitset,
             ..Default::default()
@@ -618,10 +640,7 @@ fn main() {
             return;
         }
         if let Some(path) = &args.replay {
-            let t = Trace::read(path).unwrap_or_else(|e| {
-                eprintln!("eitc: cannot read trace {path}: {e}");
-                exit(1);
-            });
+            let t = read_trace(path);
             mopts.state_hash_every = (t.header.hash_every > 0).then_some(t.header.hash_every);
             check_trace_header(
                 &t.header,
@@ -700,20 +719,14 @@ fn main() {
     let mut sched_opts = SchedulerOptions {
         memory: args.memory,
         timeout: Some(timeout),
-        trace,
         profile: args.profile || args.metrics.is_some(),
-        fifo_engine: args.fifo,
         restarts: args.restarts,
         bitset: !args.no_bitset,
         ..Default::default()
     };
 
     if let Some(path) = &args.replay {
-        let t = Trace::read(path).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot read trace {path}: {e}");
-            exit(1);
-        });
-        sched_opts.trace = None;
+        let t = read_trace(path);
         sched_opts.profile = false;
         sched_opts.state_hash_every = (t.header.hash_every > 0).then_some(t.header.hash_every);
         check_trace_header(

@@ -82,3 +82,25 @@ fn race_agrees_with_cp_on_ii_for_all_table_kernels() {
         assert!(v.is_empty(), "{name}/race: verifier found {v:?}");
     }
 }
+
+/// The CNF is a pure function of the graph, machine and II: encoding the
+/// same kernel twice in one process gives byte-identical DIMACS. qrd and
+/// detector are the kernels whose residue maps hold several entries per
+/// op, so any hash-ordered walk over them reorders clauses.
+#[test]
+fn sat_cnf_is_identical_across_encodes() {
+    let spec = ArchSpec::eit();
+    for name in ["qrd", "detector"] {
+        let g = prepared(name);
+        let encode = || {
+            eit_core::modulo_cnf_dimacs(&g, &spec, &opts(Backend::Sat))
+                .unwrap_or_else(|e| panic!("{name}: encode failed: {e}"))
+                .unwrap_or_else(|| panic!("{name}: no encodable candidate"))
+        };
+        let (ii, first) = encode();
+        let (again_ii, again) = encode();
+        assert_eq!(again_ii, ii, "{name}: first encodable II moved");
+        // Not assert_eq!: a failure would print two megabyte-sized CNFs.
+        assert!(again == first, "{name}: DIMACS differs between encodes");
+    }
+}

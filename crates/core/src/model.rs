@@ -57,10 +57,6 @@ pub struct SchedulerOptions {
     /// Per-propagator profiling with wall-time attribution; the profile
     /// comes back in [`ScheduleResult::propagator_profile`].
     pub profile: bool,
-    /// Run the solver with the legacy FIFO propagation scheduler instead
-    /// of the event-driven tiered engine — the A/B baseline for
-    /// measuring wake/invocation savings. Same solutions, same optima.
-    pub fifo_engine: bool,
     /// Cooperative cancellation (service deadlines).
     /// A deadline-bearing token ([`eit_cp::CancelToken::with_deadline`])
     /// enforces a per-request wall-clock budget without a watchdog
@@ -90,7 +86,6 @@ impl Default for SchedulerOptions {
             trace: None,
             state_hash_every: None,
             profile: false,
-            fifo_engine: false,
             cancel: None,
             restarts: None,
             bitset: true,
@@ -131,11 +126,7 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     let build_start = Instant::now();
     let mut timings = PhaseTimings::new();
     let horizon = opts.horizon.unwrap_or_else(|| serial_horizon(g, spec));
-    let mut m = if opts.fifo_engine {
-        Model::with_fifo_baseline()
-    } else {
-        Model::new()
-    };
+    let mut m = Model::new();
     // Must precede variable creation: the switch pins vars at birth.
     m.store.set_bitset(opts.bitset);
 
@@ -469,7 +460,6 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
         phases: built.phases.clone(),
         timeout: opts.timeout,
         node_limit: opts.node_limit,
-        shared_bound: None,
         restart_on_solution: true,
         trace: opts.trace.clone(),
         state_hash_every: opts.state_hash_every,
@@ -507,7 +497,6 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
                 phases: built2.phases.clone(),
                 timeout: opts.timeout,
                 node_limit: opts.node_limit,
-                shared_bound: None,
                 restart_on_solution: true,
                 trace: opts.trace.clone(),
                 state_hash_every: opts.state_hash_every,

@@ -79,12 +79,11 @@ pub fn arch_hash(spec: &ArchSpec) -> u64 {
 /// so recordings stay comparable across `--no-bitset` A/B runs.
 pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
     format!(
-        "mode=schedule;memory={};horizon={};minimize_slots={};fifo={};node_limit={};restarts={}",
+        "mode=schedule;memory={};horizon={};minimize_slots={};node_limit={};restarts={}",
         u8::from(opts.memory),
         opts.horizon
             .map_or_else(|| "auto".into(), |h| h.to_string()),
         u8::from(opts.minimize_slots),
-        u8::from(opts.fifo_engine),
         opts.node_limit
             .map_or_else(|| "none".into(), |n| n.to_string()),
         opts.restarts
@@ -238,7 +237,6 @@ pub fn replay_schedule(
         phases: built.phases.clone(),
         timeout: opts.timeout,
         node_limit: opts.node_limit,
-        shared_bound: None,
         restart_on_solution: true,
         trace: None,
         state_hash_every: opts.state_hash_every,

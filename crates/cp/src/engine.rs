@@ -82,8 +82,7 @@ pub struct Wake<'a> {
 
 impl Wake<'_> {
     /// True if the propagator must rescan everything: its first run, a
-    /// [`Engine::schedule_all`], an untagged watch fired, or the engine
-    /// is in FIFO-baseline mode.
+    /// [`Engine::schedule_all`], or an untagged watch fired.
     #[inline]
     pub fn rescan(&self) -> bool {
         self.all
@@ -278,9 +277,6 @@ pub struct Engine {
     profiles: Vec<PropProfile>,
     /// When true, attribute wall time to each propagator run.
     timed_profiling: bool,
-    /// When true, emulate the pre-event engine: a single FIFO queue, no
-    /// event-mask filtering, no idempotence skips, full rescans only.
-    fifo_baseline: bool,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_PERIOD`]
     /// propagator runs inside [`Engine::fixpoint`] so a long fixpoint
     /// aborts promptly. `None` (the default) costs one branch per run.
@@ -304,7 +300,6 @@ impl Engine {
             propagations: 0,
             profiles: Vec::new(),
             timed_profiling: false,
-            fifo_baseline: false,
             cancel: None,
             sub_buf: Subscriptions::default(),
         }
@@ -323,21 +318,6 @@ impl Engine {
     /// on). Call before solving; timing starts from the next fixpoint.
     pub fn enable_profiling(&mut self) {
         self.timed_profiling = true;
-    }
-
-    /// Disable event-mask filtering, priority tiers, idempotence skips
-    /// and incremental wake info: every change wakes every subscriber
-    /// into one FIFO queue with a full rescan. This reproduces the
-    /// pre-event engine and exists as the comparison baseline for the
-    /// differential suite and A/B profiling. Call before posting so the
-    /// initial schedule is pure FIFO too.
-    pub fn set_fifo_baseline(&mut self, on: bool) {
-        self.fifo_baseline = on;
-    }
-
-    /// True if [`Engine::set_fifo_baseline`] turned the baseline mode on.
-    pub fn is_fifo_baseline(&self) -> bool {
-        self.fifo_baseline
     }
 
     /// Per-propagator accounting, one entry per registered propagator in
@@ -397,11 +377,7 @@ impl Engine {
             });
         }
         self.sub_buf = buf;
-        let tier = if self.fifo_baseline {
-            0
-        } else {
-            p.priority() as u8
-        };
+        let tier = p.priority() as u8;
         self.tier_of.push(tier);
         self.idempotent.push(p.idempotent());
         self.profiles.push(PropProfile {
@@ -445,13 +421,11 @@ impl Engine {
             }
             let entries = std::mem::take(&mut self.subs[var as usize]);
             for e in &entries {
-                if !self.fifo_baseline {
-                    if !ev.intersects(e.mask) {
-                        continue;
-                    }
-                    if Some(e.prop) == just_ran && self.idempotent[e.prop as usize] {
-                        continue; // at its own fixpoint already
-                    }
+                if !ev.intersects(e.mask) {
+                    continue;
+                }
+                if Some(e.prop) == just_ran && self.idempotent[e.prop as usize] {
+                    continue; // at its own fixpoint already
                 }
                 self.profiles[e.prop as usize].wakes += 1;
                 self.pending[e.prop as usize].note(e.tag);
@@ -499,7 +473,7 @@ impl Engine {
             let mut pending = std::mem::take(&mut self.pending[idx]);
             pending.tags.sort_unstable();
             let wake = Wake {
-                all: pending.all || self.fifo_baseline,
+                all: pending.all,
                 tags: &pending.tags,
                 rerun_in_round: self.last_run_round[idx] == self.round,
             };
@@ -682,19 +656,6 @@ mod tests {
         s.remove_below(b, 1).unwrap();
         e.fixpoint(&mut s).unwrap();
         assert_eq!(e.propagations, before, "masked-out events must not wake");
-        // ...but the FIFO baseline ignores masks and does wake.
-        let mut s2 = Store::new();
-        let a2 = s2.new_var(0, 10);
-        let b2 = s2.new_var(0, 10);
-        let mut e2 = Engine::new();
-        e2.set_fifo_baseline(true);
-        e2.post(Box::new(Leq { x: a2, y: b2 }), &s2);
-        e2.fixpoint(&mut s2).unwrap();
-        let before2 = e2.propagations;
-        s2.push_level();
-        s2.remove_above(a2, 9).unwrap();
-        e2.fixpoint(&mut s2).unwrap();
-        assert_eq!(e2.propagations, before2 + 1);
     }
 
     #[test]

@@ -22,23 +22,15 @@
 //! the winner are cancelled via [`CancelToken`] — their statistics vary
 //! run-to-run (they are reported per-outcome so callers can segregate
 //! them from deterministic fields), but the *answer* never does.
-//!
-//! For minimization ([`eps_minimize`]) the optimum *value* is already
-//! deterministic with a shared incumbent bound (a subproblem holding the
-//! global optimum can only be pruned by an equal-valued incumbent), but
-//! the witness is not; a second pass re-solves under `obj ≤ v*` as a
-//! satisfaction EPS, making the witness the lexicographically-first
-//! optimal solution.
 
 use crate::cancel::CancelToken;
 use crate::model::Model;
 use crate::search::{
-    minimize, select_phase_var, solve, SearchConfig, SearchResult, SearchStats, SearchStatus,
-    ValSel,
+    select_phase_var, solve, SearchConfig, SearchResult, SearchStats, SearchStatus, ValSel,
 };
 use crate::store::VarId;
 use crate::trace::{MemorySink, SearchEvent, TraceHandle};
-use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -320,13 +312,7 @@ impl<'a> Pool<'a> {
 
     /// Worker loop: claim indices bottom-up; solve each subproblem on a
     /// fresh model; skip (as cancelled) indices above the current winner.
-    fn work(
-        &self,
-        worker: usize,
-        builder: &EpsBuilder<'_>,
-        outer_cancel: Option<&CancelToken>,
-        extra: &[Decision],
-    ) {
+    fn work(&self, worker: usize, builder: &EpsBuilder<'_>, outer_cancel: Option<&CancelToken>) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.subs.len() {
@@ -375,9 +361,7 @@ impl<'a> Pool<'a> {
             if let Some(rem) = remaining {
                 cfg.timeout = Some(cfg.timeout.map_or(rem, |t| t.min(rem)));
             }
-            let consistent =
-                replay(&mut model, &self.subs[i]) && extra.iter().all(|&d| apply(&mut model, d));
-            let r = if consistent {
+            let r = if replay(&mut model, &self.subs[i]) {
                 solve(&mut model, &cfg)
             } else {
                 refuted_at_replay()
@@ -540,35 +524,6 @@ fn merge_satisfaction(
     (result, report)
 }
 
-/// Bookkeeping threaded from the decomposition into one pool pass.
-struct PassCtx {
-    split_pruned: u64,
-    split_depth: usize,
-    t0: Instant,
-    /// Global deadline derived from the builder's `timeout` at pass start.
-    deadline: Option<Instant>,
-}
-
-fn run_satisfaction_pool(
-    builder: &EpsBuilder<'_>,
-    subs: &[Subproblem],
-    eps: &EpsConfig,
-    outer_cancel: Option<&CancelToken>,
-    extra: &[Decision],
-    ctx: PassCtx,
-) -> (SearchResult, EpsReport) {
-    let pool = Pool::new(subs, ctx.deadline, eps.race);
-    let jobs = eps.jobs.max(1);
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let pool = &pool;
-            scope.spawn(move || pool.work(w, builder, outer_cancel, extra));
-        }
-    });
-    pool.forward_traces();
-    merge_satisfaction(pool, ctx.split_pruned, ctx.split_depth, jobs, ctx.t0)
-}
-
 /// Satisfaction EPS: decompose, drain with `jobs` workers, return the
 /// lexicographically-first solution (identical to a sequential
 /// [`solve`] whenever nothing times out — see the module docs).
@@ -582,8 +537,8 @@ fn run_satisfaction_pool(
 pub fn eps_solve(builder: &EpsBuilder<'_>, eps: &EpsConfig) -> (SearchResult, EpsReport) {
     let t0 = Instant::now();
     let (mut split_model, cfg) = builder();
-    let empty_report = |n, d, p| EpsReport {
-        subproblems: n,
+    let empty_report = |d, p| EpsReport {
+        subproblems: 0,
         split_depth: d,
         split_pruned: p,
         winner: None,
@@ -593,7 +548,7 @@ pub fn eps_solve(builder: &EpsBuilder<'_>, eps: &EpsConfig) -> (SearchResult, Ep
     if split_model.engine.fixpoint(&mut split_model.store).is_err() {
         let mut r = refuted_at_replay();
         r.stats.time = t0.elapsed();
-        return (r, empty_report(0, 0, 1));
+        return (r, empty_report(0, 1));
     }
     let target = eps.split_factor.max(1) * eps.jobs.max(1);
     let (subs, split_pruned, split_depth) = split(&mut split_model, &cfg, target, eps);
@@ -602,200 +557,26 @@ pub fn eps_solve(builder: &EpsBuilder<'_>, eps: &EpsConfig) -> (SearchResult, Ep
         // Every branch refuted during decomposition: a complete proof.
         let mut r = refuted_at_replay();
         r.stats.time = t0.elapsed();
-        return (r, empty_report(0, split_depth, split_pruned));
+        return (r, empty_report(split_depth, split_pruned));
     }
-    run_satisfaction_pool(
-        builder,
-        &subs,
-        eps,
-        cfg.cancel.as_ref(),
-        &[],
-        PassCtx {
-            split_pruned,
-            split_depth,
-            t0,
-            deadline: cfg.timeout.map(|t| t0 + t),
-        },
-    )
-}
-
-/// Minimization EPS in two passes.
-///
-/// **Pass A** drains the subproblems with branch-and-bound under a shared
-/// [`AtomicI32`] incumbent ([`SearchConfig::shared_bound`]): the optimum
-/// *value* this yields is deterministic, because the subproblem holding
-/// the global optimum can only ever be pruned by an equal-valued
-/// incumbent. **Pass B** re-runs a satisfaction EPS with `obj ≤ v*`
-/// appended to every prefix, so the returned *witness* is the
-/// lexicographically-first optimal solution — again run-invariant.
-pub fn eps_minimize(
-    builder: &(dyn Fn() -> (Model, VarId, SearchConfig) + Sync),
-    eps: &EpsConfig,
-) -> (SearchResult, EpsReport) {
-    let t0 = Instant::now();
-    let (mut split_model, _obj, cfg) = builder();
-    let sat_builder = |bound: Option<i32>| {
-        move || {
-            let (mut m, o, mut c) = builder();
-            if let Some(b) = bound {
-                let _ = m.store.remove_above(o, b);
-            }
-            c.shared_bound = None;
-            (m, c)
-        }
-    };
-    if split_model.engine.fixpoint(&mut split_model.store).is_err() {
-        let mut r = refuted_at_replay();
-        r.stats.time = t0.elapsed();
-        let report = EpsReport {
-            subproblems: 0,
-            split_depth: 0,
-            split_pruned: 1,
-            winner: None,
-            outcomes: Vec::new(),
-            workers: vec![WorkerStats::default(); eps.jobs.max(1)],
-        };
-        return (r, report);
-    }
-    let target = eps.split_factor.max(1) * eps.jobs.max(1);
-    let (subs, split_pruned, split_depth) = split(&mut split_model, &cfg, target, eps);
-    drop(split_model);
-    if subs.is_empty() {
-        let mut r = refuted_at_replay();
-        r.stats.time = t0.elapsed();
-        let report = EpsReport {
-            subproblems: 0,
-            split_depth,
-            split_pruned,
-            winner: None,
-            outcomes: Vec::new(),
-            workers: vec![WorkerStats::default(); eps.jobs.max(1)],
-        };
-        return (r, report);
-    }
-
-    // Pass A: bound discovery under a shared incumbent. The builder's
-    // `timeout` is a global budget for the whole minimization (both
-    // passes), enforced by handing each subproblem only the remainder.
-    let deadline = cfg.timeout.map(|t| t0 + t);
-    let shared = Arc::new(AtomicI32::new(i32::MAX));
+    let pool = Pool::new(&subs, cfg.timeout.map(|t| t0 + t), eps.race);
     let jobs = eps.jobs.max(1);
-    let next = AtomicUsize::new(0);
-    let pass_a: Mutex<Vec<(usize, SearchResult)>> = Mutex::new(Vec::new());
+    let outer_cancel = cfg.cancel.as_ref();
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let shared = Arc::clone(&shared);
-            let next = &next;
-            let pass_a = &pass_a;
-            let subs = &subs;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= subs.len() {
-                    return;
-                }
-                let remaining = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
-                if remaining.is_some_and(|r| r.is_zero()) {
-                    let mut r = refuted_at_replay();
-                    r.status = SearchStatus::Unknown;
-                    r.completed = false;
-                    pass_a
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((i, r));
-                    continue;
-                }
-                let (mut model, o, mut c) = builder();
-                c.shared_bound = Some(Arc::clone(&shared));
-                // Pass A explores under a timing-dependent shared
-                // incumbent; its streams are inherently nondeterministic
-                // and are not traced. Pass B (the canonical witness pass)
-                // carries the trace.
-                c.trace = None;
-                if let Some(rem) = remaining {
-                    c.timeout = Some(c.timeout.map_or(rem, |t| t.min(rem)));
-                }
-                let r = if replay(&mut model, &subs[i]) {
-                    minimize(&mut model, o, &c)
-                } else {
-                    refuted_at_replay()
-                };
-                pass_a
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((i, r));
-            });
+        for w in 0..jobs {
+            let pool = &pool;
+            scope.spawn(move || pool.work(w, builder, outer_cancel));
         }
     });
-    let mut a = pass_a.into_inner().unwrap_or_else(|e| e.into_inner());
-    a.sort_by_key(|(i, _)| *i);
-    let all_complete = a.iter().all(|(_, r)| r.completed);
-    let mut a_stats = SearchStats::default();
-    for (_, r) in &a {
-        a_stats.nodes += r.stats.nodes;
-        a_stats.fails += r.stats.fails;
-        a_stats.propagations += r.stats.propagations;
-        a_stats.max_depth = a_stats.max_depth.max(r.stats.max_depth);
-    }
-    let best = a.iter().filter_map(|(_, r)| r.objective).min();
-    let Some(vstar) = best else {
-        let mut r = refuted_at_replay();
-        if !all_complete {
-            r.status = SearchStatus::Unknown;
-            r.completed = false;
-        }
-        r.stats = a_stats;
-        r.stats.time = t0.elapsed();
-        let report = EpsReport {
-            subproblems: subs.len(),
-            split_depth,
-            split_pruned,
-            winner: None,
-            outcomes: Vec::new(),
-            workers: vec![WorkerStats::default(); jobs],
-        };
-        return (r, report);
-    };
-
-    // Pass B: deterministic witness under obj ≤ v*.
-    let b_builder = sat_builder(Some(vstar));
-    let (mut result, mut report) = run_satisfaction_pool(
-        &b_builder,
-        &subs,
-        eps,
-        cfg.cancel.as_ref(),
-        &[],
-        PassCtx {
-            split_pruned,
-            split_depth,
-            t0,
-            deadline,
-        },
-    );
-    result.objective = Some(vstar);
-    // Pass A's tree exhaustion is the optimality proof; pass B stops at
-    // the first witness.
-    if result.is_sat() {
-        result.status = if all_complete {
-            SearchStatus::Optimal
-        } else {
-            SearchStatus::Feasible
-        };
-        result.completed = all_complete;
-    }
-    result.stats.nodes += a_stats.nodes;
-    result.stats.fails += a_stats.fails;
-    result.stats.propagations += a_stats.propagations;
-    result.stats.max_depth = result.stats.max_depth.max(a_stats.max_depth);
-    result.stats.time = t0.elapsed();
-    report.subproblems = subs.len();
-    (result, report)
+    pool.forward_traces();
+    merge_satisfaction(pool, split_pruned, split_depth, jobs, t0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::props::alldiff::AllDifferent;
-    use crate::props::basic::{MaxOf, NeqOffset, XPlusCLeqY};
+    use crate::props::basic::NeqOffset;
     use crate::search::{Phase, VarSel};
 
     fn queens_builder(n: usize) -> impl Fn() -> (Model, SearchConfig) + Sync {
@@ -869,37 +650,6 @@ mod tests {
                 Some(prev) => assert_eq!(prev, &vals, "jobs={jobs}"),
             }
         }
-    }
-
-    #[test]
-    fn eps_minimize_matches_sequential_optimum_and_witness() {
-        let builder = || {
-            let mut m = Model::new();
-            let starts: Vec<VarId> = (0..5).map(|_| m.new_var(0, 20)).collect();
-            for w in starts.windows(2) {
-                m.post(Box::new(XPlusCLeqY {
-                    x: w[0],
-                    c: 2,
-                    y: w[1],
-                }));
-            }
-            let obj = m.new_var(0, 25);
-            m.post(Box::new(MaxOf {
-                xs: starts.clone(),
-                y: obj,
-            }));
-            let cfg = SearchConfig {
-                phases: vec![Phase::new(starts, VarSel::SmallestMin, ValSel::Min)],
-                ..Default::default()
-            };
-            (m, obj, cfg)
-        };
-        let (mut m, obj, cfg) = builder();
-        let seq = minimize(&mut m, obj, &cfg);
-        let (par, _) = eps_minimize(&builder, &EpsConfig::default());
-        assert_eq!(par.objective, seq.objective);
-        assert_eq!(par.status, SearchStatus::Optimal);
-        assert!(par.is_sat());
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use domain::{Domain, DomainEvent};
 pub use engine::{
     render_profile_table, Engine, Priority, PropId, PropProfile, Propagator, Subscriptions, Wake,
 };
-pub use eps::{eps_minimize, eps_solve, EpsConfig, EpsReport, SubproblemOutcome, WorkerStats};
+pub use eps::{eps_solve, EpsConfig, EpsReport, SubproblemOutcome, WorkerStats};
 pub use model::Model;
 pub use record::{fnv1a, Fnv64, RecorderSink, Trace, TraceHeader, TRACE_MAGIC, TRACE_VERSION};
 pub use replay::{replay, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};
@@ -75,6 +75,4 @@ pub use search::{
     SearchStats, SearchStatus, Solution, ValSel, VarSel,
 };
 pub use store::{Fail, PropResult, Store, VarId};
-pub use trace::{
-    EventCounts, JsonlSink, MemorySink, NullSink, ProgressSink, SearchEvent, TraceHandle, TraceSink,
-};
+pub use trace::{EventCounts, MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};

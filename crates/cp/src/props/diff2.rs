@@ -113,7 +113,7 @@ impl Propagator for Diff2 {
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         // The pigeonhole sweep stays global so failure detection is
-        // identical to the FIFO baseline's.
+        // identical to a full rescan's.
         self.pigeonhole(s)?;
         let n = self.rects.len();
         // Pairs where neither rect moved a bound since our previous run

@@ -127,7 +127,7 @@ impl Propagator for Disjunctive {
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         // The overload check stays global so failure detection is
-        // identical to the FIFO baseline's.
+        // identical to a full rescan's.
         self.overload_check(s)?;
         let mut dirty: Vec<bool> = Vec::new();
         if !wake.rescan() {

@@ -3,8 +3,8 @@
 //! A trace file ties one recorded solve to the exact inputs that produced
 //! it — a canonical IR hash, an architecture hash, and the solver
 //! configuration string — followed by every [`SearchEvent`] the run
-//! emitted, length-prefixed so readers can skip records they do not
-//! understand and detect truncation.
+//! emitted, length-prefixed so a reader can delimit every record and
+//! detect truncation.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -19,10 +19,12 @@
 //! records     ...       until EOF, each: [len: u8][tag: u8][payload]
 //! ```
 //!
-//! `len` counts every byte after itself (tag included), so a reader can
-//! always skip `len` bytes. The running FNV-1a digest of *all* bytes
-//! written — header and records — is the trace hash recorded in
-//! `eit-run-metrics/1`; two runs are byte-identical iff their hashes are.
+//! `len` counts every byte after itself (tag included). [`Trace::read`]
+//! refuses a record whose tag it does not know, or whose payload is
+//! shorter or longer than `len`, as a corrupt trace. The running FNV-1a
+//! digest of *all* bytes written — header and records — is the trace
+//! hash recorded in `eit-run-metrics/1`; two runs are byte-identical iff
+//! their hashes are.
 //!
 //! [`RecorderSink`] streams events straight to disk through the ordinary
 //! [`TraceSink`] trait, so recording plugs into any search driver that
@@ -397,9 +399,9 @@ impl TraceSink for RecorderSink {
         self.buf.clear();
         encode(event, &mut self.buf);
         self.hash.write(&self.buf);
-        // An I/O error mid-search must not kill the solve (same policy as
-        // JsonlSink); the hash still covers the intended bytes, so a
-        // short file is detected at read time.
+        // An I/O error mid-search must not kill the solve; the hash still
+        // covers the intended bytes, so a short file is detected at read
+        // time.
         let _ = self.out.write_all(&self.buf);
         self.events += 1;
     }

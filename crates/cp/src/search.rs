@@ -13,7 +13,6 @@ use crate::model::Model;
 use crate::props::nogood::{NogoodBase, NogoodProp};
 use crate::store::VarId;
 use crate::trace::{SearchEvent, TraceHandle};
-use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -182,10 +181,6 @@ pub struct SearchConfig {
     pub timeout: Option<Duration>,
     /// Explored-node budget; `None` = unbounded.
     pub node_limit: Option<u64>,
-    /// Optional cross-thread objective bound, shared by the workers of an
-    /// EPS minimization: the search both publishes improvements to and
-    /// prunes against it.
-    pub shared_bound: Option<Arc<AtomicI32>>,
     /// Restart-based branch-and-bound: after each incumbent, tighten the
     /// objective bound *at the root* and re-dive, instead of continuing
     /// chronologically. With strong propagation this avoids thrashing in
@@ -332,14 +327,9 @@ struct Dfs<'m> {
     best_obj: Option<i32>,
     deadline: Option<Instant>,
     node_limit: Option<u64>,
-    shared_bound: Option<Arc<AtomicI32>>,
     stats: SearchStats,
     /// In satisfaction mode we stop at the first solution.
     stop_at_first: bool,
-    /// True once a prune used a bound tighter than our own incumbent's —
-    /// an exhausted tree then proves "no better than the shared bound",
-    /// not infeasibility.
-    external_bound_used: bool,
     /// Enumeration mode: collect every solution up to the cap.
     collect: Option<(Vec<Solution>, usize)>,
     trace: Option<TraceHandle>,
@@ -407,21 +397,6 @@ impl<'m> Dfs<'m> {
         Ok(())
     }
 
-    /// Effective objective upper bound, folding in the shared bound when
-    /// present.
-    fn effective_bound(&mut self) -> i32 {
-        match &self.shared_bound {
-            Some(sb) => {
-                let ext = sb.load(Ordering::Relaxed);
-                if ext < self.bound {
-                    self.external_bound_used = true;
-                }
-                self.bound.min(ext)
-            }
-            None => self.bound,
-        }
-    }
-
     fn select_var(&self) -> Option<(usize, VarId)> {
         select_phase_var(&self.model.store, &self.phases)
     }
@@ -442,9 +417,6 @@ impl<'m> Dfs<'m> {
             let val = self.model.store.min(obj);
             self.best_obj = Some(val);
             self.bound = val; // next solutions must beat this strictly
-            if let Some(sb) = &self.shared_bound {
-                sb.fetch_min(val, Ordering::Relaxed);
-            }
             self.emit(|| SearchEvent::BoundUpdate { bound: val });
         }
         self.emit(|| SearchEvent::Solution {
@@ -553,7 +525,7 @@ impl<'m> Dfs<'m> {
 
         // Bound pruning for branch-and-bound.
         if let Some(obj) = self.objective {
-            let b = self.effective_bound();
+            let b = self.bound;
             if b != i32::MAX {
                 if self.model.store.remove_above(obj, b - 1).is_err() {
                     self.fail();
@@ -850,10 +822,8 @@ fn run_with_collect(
         best_obj: None,
         deadline: config.timeout.map(|d| t0 + d),
         node_limit: config.node_limit,
-        shared_bound: config.shared_bound.clone(),
         stats: SearchStats::default(),
         stop_at_first: stop_at_first || restart,
-        external_bound_used: false,
         collect: collect.map(|cap| (Vec::new(), cap)),
         trace: config.trace.clone(),
         state_hash_every: config.state_hash_every,
@@ -888,7 +858,7 @@ fn run_with_collect(
                         break; // exhausted: no better solution exists
                     }
                     // Tighten at root (permanent) and go again.
-                    let bound = dfs.effective_bound();
+                    let bound = dfs.bound;
                     if bound == i32::MIN
                         || dfs.model.store.remove_above(obj, bound - 1).is_err()
                         || !dfs.fixpoint().unwrap_or_else(|a| {
@@ -918,10 +888,7 @@ fn run_with_collect(
         match (&dfs.best, aborted.is_some()) {
             (Some(_), false) => SearchStatus::Optimal,
             (Some(_), true) => SearchStatus::Feasible,
-            // Exhausted with no solution: only a true infeasibility proof
-            // if no external bound narrowed the tree.
-            (None, false) if !dfs.external_bound_used => SearchStatus::Infeasible,
-            (None, false) => SearchStatus::Unknown,
+            (None, false) => SearchStatus::Infeasible,
             (None, true) => SearchStatus::Unknown,
         }
     };
@@ -1147,21 +1114,6 @@ mod tests {
         let sol = r.best.unwrap();
         assert_eq!(sol.value(x), 3); // Max val-sel in phase 1
         assert_eq!(sol.value(y), 0); // Min val-sel in phase 2
-    }
-
-    #[test]
-    fn shared_bound_prunes() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 100);
-        let shared = Arc::new(AtomicI32::new(5)); // externally known bound
-        let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x], VarSel::InputOrder, ValSel::Max)],
-            shared_bound: Some(shared),
-            ..Default::default()
-        };
-        let r = minimize(&mut m, x, &cfg);
-        // Search may only return objectives strictly below the shared bound.
-        assert!(r.objective.unwrap() < 5);
     }
 
     #[test]

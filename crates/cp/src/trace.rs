@@ -4,9 +4,9 @@
 //! The solver emits a [`SearchEvent`] at every decision, failure,
 //! backtrack, incumbent, restart and budget abort. Sinks decide what to
 //! do with the stream: drop it ([`NullSink`]), keep a bounded ring of
-//! recent events plus totals ([`MemorySink`]), stream JSON lines to a
-//! writer ([`JsonlSink`]), or print a throttled progress line to stderr
-//! ([`ProgressSink`]).
+//! recent events plus totals ([`MemorySink`]), or write the binary
+//! `eit-trace/1` recording ([`crate::RecorderSink`]). A recording renders
+//! as JSON lines through [`SearchEvent::to_json`], one line per event.
 //!
 //! Cost model: with no sink configured the per-event cost is a single
 //! `Option` discriminant check — the event value is never even
@@ -21,11 +21,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// One step of the search, in the order the solver took it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,7 +67,7 @@ pub enum SearchEvent {
 }
 
 impl SearchEvent {
-    /// Stable lower-case tag, used as the JSONL `event` field.
+    /// Stable lower-case tag, used as the JSON `event` field.
     pub fn kind(&self) -> &'static str {
         match self {
             SearchEvent::Start { .. } => "start",
@@ -91,7 +87,8 @@ impl SearchEvent {
     }
 
     /// One JSON object per event; no timestamps, so streams are
-    /// reproducible byte-for-byte.
+    /// reproducible byte-for-byte. This is the line `eitc --replay T
+    /// --emit jsonl` prints for each recorded event.
     pub fn to_json(&self) -> String {
         let kind = self.kind();
         match self {
@@ -136,137 +133,6 @@ impl SearchEvent {
                  \"fails\":{fails},\"solutions\":{solutions}}}"
             ),
         }
-    }
-
-    /// Parse one line as produced by [`SearchEvent::to_json`]. Returns
-    /// `None` on anything the writer cannot have emitted (unknown event
-    /// kinds, missing fields, malformed JSON), which makes the roundtrip
-    /// `from_json(to_json(e)) == Some(e)` the parser's whole contract.
-    pub fn from_json(line: &str) -> Option<SearchEvent> {
-        let fields = parse_flat_json(line)?;
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let int = |key: &str| match get(key) {
-            Some(JsonField::Int(n)) => Some(*n),
-            _ => None,
-        };
-        let kind = match get("event") {
-            Some(JsonField::Str(s)) => s.as_str(),
-            _ => return None,
-        };
-        Some(match kind {
-            "start" => SearchEvent::Start {
-                vars: int("vars")? as usize,
-                propagators: int("propagators")? as usize,
-            },
-            "branch" => SearchEvent::Branch {
-                depth: int("depth")? as usize,
-                var: int("var")? as u32,
-                val: int("val")? as i32,
-            },
-            "fail" => SearchEvent::Fail {
-                depth: int("depth")? as usize,
-            },
-            "backtrack" => SearchEvent::Backtrack {
-                depth: int("depth")? as usize,
-            },
-            "solution" => SearchEvent::Solution {
-                objective: match get("objective")? {
-                    JsonField::Null => None,
-                    JsonField::Int(n) => Some(*n as i32),
-                    JsonField::Str(_) => return None,
-                },
-                nodes: int("nodes")? as u64,
-            },
-            "bound" => SearchEvent::BoundUpdate {
-                bound: int("bound")? as i32,
-            },
-            "restart" => SearchEvent::Restart {
-                bound: int("bound")? as i32,
-            },
-            "deadline" => SearchEvent::DeadlineHit {
-                nodes: int("nodes")? as u64,
-            },
-            "node_limit" => SearchEvent::NodeLimitHit {
-                nodes: int("nodes")? as u64,
-            },
-            "cancelled" => SearchEvent::Cancelled {
-                nodes: int("nodes")? as u64,
-            },
-            "state_hash" => SearchEvent::StateHash {
-                nodes: int("nodes")? as u64,
-                hash: match get("hash")? {
-                    JsonField::Str(s) => u64::from_str_radix(s, 16).ok()?,
-                    _ => return None,
-                },
-            },
-            "stream" => SearchEvent::Stream {
-                id: int("id")? as u32,
-            },
-            "done" => SearchEvent::Done {
-                status: match get("status")? {
-                    // Interned back to the static statuses the solver emits.
-                    JsonField::Str(s) => match s.as_str() {
-                        "optimal" => "optimal",
-                        "feasible" => "feasible",
-                        "infeasible" => "infeasible",
-                        "unknown" => "unknown",
-                        _ => return None,
-                    },
-                    _ => return None,
-                },
-                nodes: int("nodes")? as u64,
-                fails: int("fails")? as u64,
-                solutions: int("solutions")? as u64,
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// A flat JSON value as the event writer emits them: no nesting, no
-/// floats, no escape sequences inside strings.
-enum JsonField {
-    Str(String),
-    Int(i64),
-    Null,
-}
-
-/// Minimal parser for the writer's own single-line flat objects. Not a
-/// general JSON parser by design: it accepts exactly the shapes
-/// [`SearchEvent::to_json`] produces.
-fn parse_flat_json(line: &str) -> Option<Vec<(String, JsonField)>> {
-    let mut rest = line.trim().strip_prefix('{')?.strip_suffix('}')?.trim();
-    let mut fields = Vec::new();
-    if rest.is_empty() {
-        return Some(fields);
-    }
-    loop {
-        rest = rest.trim_start().strip_prefix('"')?;
-        let end = rest.find('"')?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..].trim_start().strip_prefix(':')?.trim_start();
-        if let Some(r) = rest.strip_prefix('"') {
-            let end = r.find('"')?;
-            if r[..end].contains('\\') {
-                return None; // the writer never emits escapes
-            }
-            fields.push((key, JsonField::Str(r[..end].to_string())));
-            rest = &r[end + 1..];
-        } else if let Some(r) = rest.strip_prefix("null") {
-            fields.push((key, JsonField::Null));
-            rest = r;
-        } else {
-            let end = rest
-                .find(|c: char| c != '-' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            fields.push((key, JsonField::Int(rest[..end].parse().ok()?)));
-            rest = &rest[end..];
-        }
-        rest = rest.trim_start();
-        if rest.is_empty() {
-            return Some(fields);
-        }
-        rest = rest.strip_prefix(',')?;
     }
 }
 
@@ -427,98 +293,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Streams one JSON object per line to any writer.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &SearchEvent) {
-        // An I/O error mid-search must not kill the solve; drop the line.
-        let _ = writeln!(self.out, "{}", event.to_json());
-    }
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Throttled human progress on stderr: incumbents and restarts print
-/// immediately, everything else at most once per interval.
-pub struct ProgressSink {
-    every: Duration,
-    last: Instant,
-    counts: EventCounts,
-}
-
-impl ProgressSink {
-    pub fn new(every: Duration) -> Self {
-        ProgressSink {
-            every,
-            last: Instant::now(),
-            counts: EventCounts::default(),
-        }
-    }
-
-    fn line(&self) -> String {
-        format!(
-            "[search] branches={} fails={} solutions={} restarts={}",
-            self.counts.branches, self.counts.fails, self.counts.solutions, self.counts.restarts
-        )
-    }
-}
-
-impl Default for ProgressSink {
-    fn default() -> Self {
-        Self::new(Duration::from_millis(250))
-    }
-}
-
-impl TraceSink for ProgressSink {
-    fn record(&mut self, event: &SearchEvent) {
-        self.counts.bump(event);
-        match event {
-            SearchEvent::Solution { objective, nodes } => {
-                eprintln!("[search] incumbent objective={objective:?} at node {nodes}");
-                self.last = Instant::now();
-            }
-            SearchEvent::Restart { bound } => {
-                eprintln!("[search] restart under bound {bound}");
-                self.last = Instant::now();
-            }
-            SearchEvent::Done {
-                status,
-                nodes,
-                fails,
-                solutions,
-            } => {
-                eprintln!(
-                    "[search] done: {status} nodes={nodes} fails={fails} solutions={solutions}"
-                );
-            }
-            _ => {
-                if self.last.elapsed() >= self.every {
-                    eprintln!("{}", self.line());
-                    self.last = Instant::now();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,40 +323,39 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_well_formed() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&SearchEvent::Start {
-            vars: 3,
-            propagators: 2,
-        });
-        sink.record(&SearchEvent::Branch {
-            depth: 1,
-            var: 0,
-            val: 7,
-        });
-        sink.record(&SearchEvent::Solution {
-            objective: Some(4),
-            nodes: 9,
-        });
-        sink.record(&SearchEvent::Solution {
-            objective: None,
-            nodes: 10,
-        });
-        sink.record(&SearchEvent::Done {
-            status: "optimal",
-            nodes: 9,
-            fails: 2,
-            solutions: 1,
-        });
-        sink.flush();
-        let text = String::from_utf8(sink.out).unwrap();
+        let events = [
+            SearchEvent::Start {
+                vars: 3,
+                propagators: 2,
+            },
+            SearchEvent::Branch {
+                depth: 1,
+                var: 0,
+                val: 7,
+            },
+            SearchEvent::Solution {
+                objective: Some(4),
+                nodes: 9,
+            },
+            SearchEvent::Solution {
+                objective: None,
+                nodes: 10,
+            },
+            SearchEvent::Done {
+                status: "optimal",
+                nodes: 9,
+                fails: 2,
+                solutions: 1,
+            },
+        ];
+        let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
-        for line in &lines {
+        for (line, e) in lines.iter().zip(&events) {
             assert!(
-                line.starts_with('{') && line.ends_with('}'),
+                line.starts_with(&format!("{{\"event\":\"{}\"", e.kind())) && line.ends_with('}'),
                 "bad line {line}"
             );
-            assert!(line.contains("\"event\":\""));
         }
         assert_eq!(
             lines[1],

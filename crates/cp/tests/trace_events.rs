@@ -4,9 +4,10 @@
 //! exactly the same solver trajectory as no sink at all.
 
 use eit_cp::props::basic::{MaxOf, NeqOffset};
-use eit_cp::trace::{MemorySink, NullSink, SearchEvent, TraceHandle};
+use eit_cp::trace::{MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};
 use eit_cp::{
-    minimize, solve, Model, Phase, SearchConfig, SearchResult, SearchStatus, ValSel, VarId, VarSel,
+    minimize, solve, Model, Phase, RecorderSink, SearchConfig, SearchResult, SearchStatus, Trace,
+    TraceHeader, ValSel, VarId, VarSel,
 };
 use std::sync::{Arc, Mutex};
 
@@ -159,107 +160,150 @@ fn node_limit_abort_is_traced() {
     assert_eq!(sink.counts.node_limits, 1);
 }
 
-/// Every `SearchEvent` variant — both `Solution` objective shapes and
-/// all terminal events included — survives the JSONL writer → parser
-/// round trip unchanged.
+/// The exact `to_json` line of every `SearchEvent` variant — both
+/// `Solution` objective shapes and every `Done` status included. These
+/// lines are what `eitc --replay T --emit jsonl` prints, so they are the
+/// view's output contract.
+fn golden() -> Vec<(SearchEvent, &'static str)> {
+    vec![
+        (
+            SearchEvent::Start {
+                vars: 7,
+                propagators: 12,
+            },
+            r#"{"event":"start","vars":7,"propagators":12}"#,
+        ),
+        (
+            SearchEvent::Branch {
+                depth: 3,
+                var: 4,
+                val: -2,
+            },
+            r#"{"event":"branch","depth":3,"var":4,"val":-2}"#,
+        ),
+        (
+            SearchEvent::Fail { depth: 2 },
+            r#"{"event":"fail","depth":2}"#,
+        ),
+        (
+            SearchEvent::Backtrack { depth: 1 },
+            r#"{"event":"backtrack","depth":1}"#,
+        ),
+        (
+            SearchEvent::Solution {
+                objective: Some(-9),
+                nodes: 41,
+            },
+            r#"{"event":"solution","objective":-9,"nodes":41}"#,
+        ),
+        (
+            SearchEvent::Solution {
+                objective: None,
+                nodes: 42,
+            },
+            r#"{"event":"solution","objective":null,"nodes":42}"#,
+        ),
+        (
+            SearchEvent::BoundUpdate { bound: 5 },
+            r#"{"event":"bound","bound":5}"#,
+        ),
+        (
+            SearchEvent::Restart { bound: 4 },
+            r#"{"event":"restart","bound":4}"#,
+        ),
+        (
+            SearchEvent::DeadlineHit { nodes: 100 },
+            r#"{"event":"deadline","nodes":100}"#,
+        ),
+        (
+            SearchEvent::NodeLimitHit { nodes: 200 },
+            r#"{"event":"node_limit","nodes":200}"#,
+        ),
+        (
+            SearchEvent::Cancelled { nodes: 300 },
+            r#"{"event":"cancelled","nodes":300}"#,
+        ),
+        (
+            SearchEvent::StateHash {
+                nodes: 64,
+                hash: 0x0ead_beef_0123_4567,
+            },
+            r#"{"event":"state_hash","nodes":64,"hash":"0eadbeef01234567"}"#,
+        ),
+        (
+            SearchEvent::Stream { id: 11 },
+            r#"{"event":"stream","id":11}"#,
+        ),
+        (
+            SearchEvent::Done {
+                status: "optimal",
+                nodes: 99,
+                fails: 55,
+                solutions: 3,
+            },
+            r#"{"event":"done","status":"optimal","nodes":99,"fails":55,"solutions":3}"#,
+        ),
+        (
+            SearchEvent::Done {
+                status: "feasible",
+                nodes: 9,
+                fails: 2,
+                solutions: 1,
+            },
+            r#"{"event":"done","status":"feasible","nodes":9,"fails":2,"solutions":1}"#,
+        ),
+        (
+            SearchEvent::Done {
+                status: "infeasible",
+                nodes: 1,
+                fails: 1,
+                solutions: 0,
+            },
+            r#"{"event":"done","status":"infeasible","nodes":1,"fails":1,"solutions":0}"#,
+        ),
+        (
+            SearchEvent::Done {
+                status: "unknown",
+                nodes: 0,
+                fails: 0,
+                solutions: 0,
+            },
+            r#"{"event":"done","status":"unknown","nodes":0,"fails":0,"solutions":0}"#,
+        ),
+    ]
+}
+
 #[test]
-fn jsonl_roundtrip_covers_every_variant() {
-    let all = vec![
-        SearchEvent::Start {
-            vars: 7,
-            propagators: 12,
-        },
-        SearchEvent::Branch {
-            depth: 3,
-            var: 4,
-            val: -2,
-        },
-        SearchEvent::Fail { depth: 2 },
-        SearchEvent::Backtrack { depth: 1 },
-        SearchEvent::Solution {
-            objective: Some(-9),
-            nodes: 41,
-        },
-        SearchEvent::Solution {
-            objective: None,
-            nodes: 42,
-        },
-        SearchEvent::BoundUpdate { bound: 5 },
-        SearchEvent::Restart { bound: 4 },
-        SearchEvent::DeadlineHit { nodes: 100 },
-        SearchEvent::NodeLimitHit { nodes: 200 },
-        SearchEvent::Cancelled { nodes: 300 },
-        SearchEvent::StateHash {
-            nodes: 64,
-            hash: 0xdead_beef_0123_4567,
-        },
-        SearchEvent::Stream { id: 11 },
-        SearchEvent::Done {
-            status: "optimal",
-            nodes: 99,
-            fails: 55,
-            solutions: 3,
-        },
-        SearchEvent::Done {
-            status: "infeasible",
-            nodes: 1,
-            fails: 1,
-            solutions: 0,
-        },
-        SearchEvent::Done {
-            status: "feasible",
-            nodes: 9,
-            fails: 2,
-            solutions: 1,
-        },
-        SearchEvent::Done {
-            status: "unknown",
-            nodes: 0,
-            fails: 0,
-            solutions: 0,
-        },
-    ];
-    for e in &all {
-        let line = e.to_json();
-        let back = SearchEvent::from_json(&line)
-            .unwrap_or_else(|| panic!("unparseable JSONL line: {line}"));
-        assert_eq!(&back, e, "round trip changed {line}");
-        // And the round trip is a fixpoint.
-        assert_eq!(back.to_json(), line);
-    }
-    // Garbage is rejected, not misparsed.
-    for bad in [
-        "",
-        "{}",
-        "{\"event\":\"branch\",\"depth\":1}",
-        "{\"event\":\"nope\"}",
-        "not json at all",
-    ] {
-        assert!(
-            SearchEvent::from_json(bad).is_none(),
-            "accepted garbage: {bad:?}"
-        );
+fn to_json_lines_are_pinned_for_every_variant() {
+    for (e, line) in &golden() {
+        assert_eq!(e.to_json(), *line, "{e:?}");
     }
 }
 
-/// A real solver stream round-trips line by line — the writer and the
-/// parser agree on everything the solver actually emits.
+/// Every variant survives the path the JSONL view takes: recorded to an
+/// `eit-trace/1` file, read back, and rendered one `to_json` line per
+/// event, in file order, with the pinned bytes.
 #[test]
-fn solver_stream_roundtrips_through_jsonl() {
-    let (mut m, obj, vars) = build();
-    let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
-    let cfg = SearchConfig {
-        phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
-        trace: Some(TraceHandle::new(Arc::clone(&sink))),
-        state_hash_every: Some(2),
-        restart_on_solution: true,
-        ..Default::default()
+fn jsonl_roundtrip_covers_every_variant() {
+    let (events, lines): (Vec<SearchEvent>, Vec<&str>) = golden().into_iter().unzip();
+    let dir = std::env::temp_dir().join("eit-trace-events-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("view-{}.trace", std::process::id()));
+    let header = TraceHeader {
+        ir_hash: 1,
+        arch_hash: 2,
+        hash_every: 0,
+        config: "mode=unit".into(),
     };
-    let _ = minimize(&mut m, obj, &cfg);
-    let sink = sink.lock().unwrap();
-    assert!(!sink.events.is_empty());
-    for e in &sink.events {
-        let line = e.to_json();
-        assert_eq!(SearchEvent::from_json(&line).as_ref(), Some(e));
+    let mut sink = RecorderSink::create(&path, &header).unwrap();
+    for e in &events {
+        sink.record(e);
     }
+    sink.flush();
+    drop(sink);
+    let trace = Trace::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(trace.events, events);
+    let view: Vec<String> = trace.events.iter().map(SearchEvent::to_json).collect();
+    assert_eq!(view, lines);
 }

@@ -27,7 +27,7 @@
 use crate::cdcl::{Lit, Var};
 use eit_arch::ArchSpec;
 use eit_ir::{Category, Graph, NodeId, OpClass};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A plain clause database, decoupled from the solver so the same
 /// encoding can be solved or dumped as DIMACS.
@@ -307,8 +307,9 @@ pub fn encode_modulo(
     // Start-residue auxiliaries: ST_{i,r} is *implied* by `s_i ≡ r`; the
     // reverse direction is unconstrained, which is sound for pure
     // at-most counting (a model may over-approximate the true residues,
-    // never under-approximate).
-    let mut st: Vec<HashMap<i32, Lit>> = vec![HashMap::new(); ops.len()];
+    // never under-approximate). Residues are kept ordered: both loops
+    // below walk these maps, and their order is the CNF's clause order.
+    let mut st: Vec<BTreeMap<i32, Lit>> = vec![BTreeMap::new(); ops.len()];
     for i in 0..ops.len() {
         for v in lo[i]..=hi[i] {
             if !residue_ok(i, v) {

@@ -29,7 +29,7 @@ trap 'rm -f "$out"' EXIT
 grep -q '"schema": "eit-run-metrics/1"' "$out"
 cargo test -q -p eit-bench --test metrics_roundtrip
 
-echo "== engine equivalence: event-driven vs FIFO baseline"
+echo "== engine oracle: event engine vs brute force (optimum, incumbent, enumeration order)"
 cargo test -q --release -p eit-cp --test differential event_engine
 
 echo "== parallel sweep determinism: --jobs 1 vs --jobs 4, CP and SAT backends"
@@ -58,10 +58,7 @@ jobs_gate() { # kernel, then the modulo flags
 for k in matmul fir qrd; do
   jobs_gate "$k" --modulo incl
 done
-# SAT on matmul and fir only: these CNFs come out the same in every
-# process, while qrd's clause order (and so its search effort) still
-# varies from process to process.
-for k in matmul fir; do
+for k in matmul fir qrd detector; do
   jobs_gate "$k" --modulo --backend sat
 done
 
@@ -174,16 +171,32 @@ for k in qrd arf matmul fir detector blockmm; do
 done
 rm -rf "$abdir"
 
-echo "== replay smoke: record then strict-replay, and trace-hash determinism across --jobs"
+echo "== replay smoke: record then strict-replay, the JSONL view, and trace-hash determinism across --jobs"
 # The record/replay contract: a recorded solve must strict-replay clean
 # without re-searching, and the recorded modulo trace must be
 # byte-identical (same fnv64 file hash) whether the sweep ran on 1 or 4
 # workers — the merged stream is jobs-independent by construction.
 t1="$(mktemp /tmp/eit-rec1.XXXXXX.trace)"
 t4="$(mktemp /tmp/eit-rec4.XXXXXX.trace)"
-./target/release/eitc qrd --timeout 120 --record "$t1" >/dev/null
+./target/release/eitc qrd --timeout 120 --record "$t1" > "$t4"
 ./target/release/eitc qrd --timeout 120 --replay "$t1" --strict >/dev/null
 echo "   qrd: recorded and strict-replayed clean"
+# The JSONL view prints one JSON object per recorded event, nothing else.
+recorded="$(grep -o '^; recorded [0-9]* event' "$t4" | grep -o '[0-9][0-9]*')"
+./target/release/eitc --replay "$t1" --emit jsonl > "$t4"
+[ "$(wc -l < "$t4")" -eq "$recorded" ] \
+  || { echo "FAIL: --emit jsonl printed $(wc -l < "$t4") lines for $recorded recorded events"; exit 1; }
+if grep -qv '^{"event":"' "$t4"; then
+  echo "FAIL: --emit jsonl printed a line that is not an event object"; exit 1
+fi
+rc=0; ./target/release/eitc --emit jsonl >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: --emit jsonl without --replay exited $rc, not 2"; exit 1; }
+head -c "$(( $(wc -c < "$t1") - 1 ))" "$t1" > "$t4"
+rc=0; ./target/release/eitc --replay "$t4" --emit jsonl >/dev/null 2>"$t4.err" || rc=$?
+[ "$rc" -eq 1 ] && grep -q 'cannot read trace' "$t4.err" \
+  || { echo "FAIL: truncated trace not refused with exit 1 (got $rc)"; exit 1; }
+rm -f "$t4.err"
+echo "   qrd: JSONL view prints all $recorded events; misuse exits 2, truncated trace exits 1"
 ./target/release/eitc matmul --modulo --timeout 60 --jobs 1 --record "$t1" >/dev/null
 ./target/release/eitc matmul --modulo --timeout 60 --jobs 4 --record "$t4" >/dev/null
 cmp "$t1" "$t4" || { echo "FAIL: matmul --modulo trace differs between --jobs 1 and --jobs 4"; exit 1; }
@@ -241,7 +254,7 @@ grep -q '"schema": "eit-run-metrics/1"' "$servedir/metrics.json"
 rm -rf "$servedir" "$archdir"
 echo "   daemon survived malformed/panic/deadline; 6/6 kernels cache-hit byte-identically"
 
-echo "== solver bench smoke: trace overhead + engine A/B"
+echo "== solver bench smoke: trace overhead"
 cargo bench -p eit-bench --bench trace_overhead
 
 echo "CI OK"
